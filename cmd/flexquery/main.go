@@ -23,8 +23,9 @@
 // -explain is EXPLAIN ANALYZE: the query executes with per-stage runtime
 // stats enabled and the optimized physical plan prints annotated with the
 // observed counters (rows in/out, batches, kernel-vs-boxed filter steps,
-// selection survivors, per-stage wall time) plus the per-site store trait
-// call counts, instead of the result rows. -trace writes a Chrome
+// selection survivors, per-stage wall time), the number of store calls the
+// engine's catalog build made, and the per-site store trait call counts of
+// the query itself, instead of the result rows. -trace writes a Chrome
 // trace-event JSON of the run (stage spans, morsel dispatches, lifecycle
 // exits) to the given file — load it in chrome://tracing or Perfetto.
 package main
@@ -33,6 +34,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -88,15 +90,25 @@ func validateFlags(store, lang string, par, batch, persons int, timeout time.Dur
 
 const usageLine = "usage: flexquery [-persons n] [-lang cypher|gremlin] [-store vineyard|gart|livegraph] [-par n] [-batch n] [-timeout d] [-explain] [-trace file.json] <query>"
 
+// config is the parsed command line.
+type config struct {
+	persons, par, batch int
+	lang, store         string
+	timeout             time.Duration
+	explain             bool
+	tracePath           string
+}
+
 func main() {
-	persons := flag.Int("persons", 200, "SNB scale (persons)")
-	lang := flag.String("lang", "cypher", "query language: cypher or gremlin")
-	store := flag.String("store", "vineyard", "storage backend: vineyard, gart or livegraph")
-	par := flag.Int("par", 0, "engine parallelism (0: GOMAXPROCS)")
-	batch := flag.Int("batch", 0, "rows per batch (0: engine default)")
-	timeout := flag.Duration("timeout", 0, "query execution deadline (0: none)")
-	explain := flag.Bool("explain", false, "EXPLAIN ANALYZE: execute, then print the physical plan annotated with observed stats")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
+	var cfg config
+	flag.IntVar(&cfg.persons, "persons", 200, "SNB scale (persons)")
+	flag.StringVar(&cfg.lang, "lang", "cypher", "query language: cypher or gremlin")
+	flag.StringVar(&cfg.store, "store", "vineyard", "storage backend: vineyard, gart or livegraph")
+	flag.IntVar(&cfg.par, "par", 0, "engine parallelism (0: GOMAXPROCS)")
+	flag.IntVar(&cfg.batch, "batch", 0, "rows per batch (0: engine default)")
+	flag.DurationVar(&cfg.timeout, "timeout", 0, "query execution deadline (0: none)")
+	flag.BoolVar(&cfg.explain, "explain", false, "EXPLAIN ANALYZE: execute, then print the physical plan annotated with observed stats")
+	flag.StringVar(&cfg.tracePath, "trace", "", "write a Chrome trace-event JSON of the run to this file")
 	flag.Parse()
 	usage := func(msg string) {
 		fmt.Fprintln(os.Stderr, "flexquery: "+msg)
@@ -109,15 +121,22 @@ func main() {
 	// Validate every flag before the dataset build: an unknown store or a
 	// negative tuning knob must fail in milliseconds, not after generating
 	// and loading an SNB graph.
-	if msg := validateFlags(*store, *lang, *par, *batch, *persons, *timeout, *tracePath); msg != "" {
+	if msg := validateFlags(cfg.store, cfg.lang, cfg.par, cfg.batch, cfg.persons, cfg.timeout, cfg.tracePath); msg != "" {
 		usage(msg)
 	}
-	query := flag.Arg(0)
+	if err := run(cfg, flag.Arg(0), os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
 
-	b := dataset.SNB(dataset.SNBOptions{Persons: *persons, Seed: 1})
+// run builds the dataset and store, evaluates the query, and prints the
+// result rows (or, with -explain, the annotated plan) to w.
+func run(cfg config, query string, w io.Writer) error {
+	b := dataset.SNB(dataset.SNBOptions{Persons: cfg.persons, Seed: 1})
 	var st grin.Graph
 	var err error
-	switch *store {
+	switch cfg.store {
 	case "vineyard":
 		st, err = vineyard.Load(b)
 	case "gart":
@@ -129,27 +148,25 @@ func main() {
 		st, err = livegraph.LoadBatch(b)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	schema := dataset.SNBSchema()
 	var plan *ir.Plan
-	switch *lang {
+	switch cfg.lang {
 	case "cypher":
 		plan, err = cypher.Parse(query, schema)
 	case "gremlin":
 		plan, err = gremlin.Parse(query, schema)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	// The observability collector is attached only when asked for: the plain
 	// path runs with Env.Obs == nil, the disabled fast path.
 	var obs *obsv.QueryStats
-	if *explain || *tracePath != "" {
+	if cfg.explain || cfg.tracePath != "" {
 		obs = obsv.NewQueryStats()
-		if *tracePath != "" {
+		if cfg.tracePath != "" {
 			obs.Trace = obsv.NewTrace()
 		}
 		// Metering wraps the store so every GRIN trait call the engine makes
@@ -163,48 +180,54 @@ func main() {
 	// "this query gets d of engine time", not "minus however long the
 	// dataset build took".
 	ctx := context.Background()
-	if *timeout > 0 {
+	if cfg.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
 		defer cancel()
 	}
-	eng := gaia.NewEngine(st, gaia.Options{Parallelism: *par, BatchSize: *batch})
+	eng := gaia.NewEngine(st, gaia.Options{Parallelism: cfg.par, BatchSize: cfg.batch})
 	c, err := eng.Compile(plan)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
+	}
+	// Engine construction builds the optimizer catalog by scanning the
+	// store; the calls up to here are set-up, not the query's own.
+	var setup obsv.StoreSnapshot
+	if obs != nil {
+		setup = obs.Store.Snapshot()
 	}
 	rows, err := eng.RunCompiledObserved(ctx, c, nil, obs)
-	if *tracePath != "" && obs != nil && obs.Trace != nil {
+	if cfg.tracePath != "" && obs != nil && obs.Trace != nil {
 		// The trace is written even when the query failed: a trace of the
 		// run up to the failure is exactly what the flag is for.
-		if werr := writeTrace(*tracePath, obs.Trace); werr != nil {
-			fmt.Fprintln(os.Stderr, werr)
-			os.Exit(1)
+		if werr := writeTrace(cfg.tracePath, obs.Trace); werr != nil {
+			return werr
 		}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	if *explain {
+	if cfg.explain {
 		// EXPLAIN ANALYZE output: the stage tree annotated with observed
-		// counters, the per-site store call profile, and the cardinality.
-		fmt.Print(c.Explain(obs).Render(true))
-		ss := obs.Store.Snapshot()
-		fmt.Print(obsv.RenderStore(&ss))
-		fmt.Printf("(%d rows)\n", len(rows))
-		return
+		// counters, the catalog-build call total, the query's own per-site
+		// store call profile, and the cardinality.
+		fmt.Fprint(w, c.Explain(obs).Render(true))
+		fmt.Fprintf(w, "catalog build: %d store calls\n", setup.Total())
+		ss := obs.Store.Snapshot().Since(setup)
+		fmt.Fprint(w, obsv.RenderStore(&ss))
+		fmt.Fprintf(w, "(%d rows)\n", len(rows))
+		return nil
 	}
-	fmt.Println(strings.Join(c.Out, "\t"))
+	fmt.Fprintln(w, strings.Join(c.Out, "\t"))
 	for _, r := range rows {
 		cells := make([]string, len(r))
 		for i, v := range r {
 			cells[i] = v.String()
 		}
-		fmt.Println(strings.Join(cells, "\t"))
+		fmt.Fprintln(w, strings.Join(cells, "\t"))
 	}
-	fmt.Printf("(%d rows)\n", len(rows))
+	fmt.Fprintf(w, "(%d rows)\n", len(rows))
+	return nil
 }
 
 // writeTrace dumps the run's trace buffer as Chrome trace-event JSON.

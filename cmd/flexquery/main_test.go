@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -61,5 +62,31 @@ func TestUsageLineMentionsEveryFlag(t *testing.T) {
 		if !strings.Contains(usageLine, f) {
 			t.Errorf("usage line does not mention %s: %q", f, usageLine)
 		}
+	}
+}
+
+// TestExplainCountsOnlyTheQuery pins that -explain's store profile is the
+// query's own: the optimizer catalog build walks every adjacency list through
+// AdjSlice, and those set-up calls are reported as one total, not folded into
+// the per-site counts of a query whose expansion runs batched.
+func TestExplainCountsOnlyTheQuery(t *testing.T) {
+	cfg := config{persons: 200, lang: "cypher", store: "vineyard", explain: true}
+	var out bytes.Buffer
+	if err := run(cfg, `MATCH (p:Person)-[:KNOWS]->(f:Person) WHERE f.creationDate > 5 RETURN id(f)`, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	if !strings.Contains(got, "catalog build: ") {
+		t.Errorf("explain output has no catalog-build total:\n%s", got)
+	}
+	_, profile, ok := strings.Cut(got, "store calls (vineyard):\n")
+	if !ok {
+		t.Fatalf("explain output has no store profile:\n%s", got)
+	}
+	if strings.Contains(profile, "AdjSlice") {
+		t.Errorf("query profile reports AdjSlice calls made by the catalog build:\n%s", profile)
+	}
+	if !strings.Contains(profile, "ExpandBatch") {
+		t.Errorf("query profile lost the query's own ExpandBatch calls:\n%s", profile)
 	}
 }

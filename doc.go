@@ -10,11 +10,13 @@
 // (typed column vectors, selection vectors, and fused filter passes;
 // internal/query/exec) — and the "Robustness & fault injection" section:
 // the query-lifecycle contract (deadlines, cancellation, budgets, panic
-// isolation; internal/query/exec), the deterministic chaos storage wrapper
-// (internal/storage/chaos) and the retry layer (internal/retry). The
-// "Observability" section covers the measurement layer: per-stage runtime
-// stats and trace export (internal/query/obsv), the store call meter
-// (internal/storage/meter), and EXPLAIN ANALYZE (flexquery -explain).
+// isolation; internal/query/exec), deterministic fault injection
+// (internal/storage/chaos, a fault schedule run as the store interposer's
+// per-call hook) and the retry layer (internal/retry). The "Observability"
+// section covers the measurement layer: per-stage runtime stats and trace
+// export (internal/query/obsv), the store call meter (internal/storage/meter,
+// the one GRIN wrapper every store interposition goes through), and EXPLAIN
+// ANALYZE (flexquery -explain).
 // bench_test.go regenerates every table and figure of the paper's
 // evaluation.
 package repro

@@ -10,8 +10,10 @@ import (
 // column.Column, so a store-resident column flows into a runtime batch
 // vector with no graph.Value box in between. It is an optional fast path
 // layered on BatchProps — implementations gather under the same trait
-// masking, and every caller must keep a boxed fallback for stores (or fault
-// wrappers) that do not provide it.
+// masking, and every caller must keep a boxed fallback for stores that do
+// not provide it. A wrapping backend that implements it must decline (return
+// false, dst untouched) when its inner store lacks it, so wrapping a store
+// never changes which path a query takes.
 //
 // The contract: append exactly len(vs) rows to dst, of dst's kind, with
 // NULL rows for NilVID/NilEID elements and absent properties — the same
@@ -27,9 +29,9 @@ type BatchPropsCol interface {
 }
 
 // AsBatchPropsCol returns the typed-column gather trait when available. It
-// rides on the BatchProps capability: masking TraitBatchProps (fault
-// injection, capability probing) disables the typed path too, and the
-// caller's boxed fallback takes over.
+// rides on the BatchProps capability: masking TraitBatchProps (capability
+// probing) disables the typed path too, and the caller's boxed fallback
+// takes over.
 func AsBatchPropsCol(g Graph) (BatchPropsCol, bool) {
 	bpc, ok := g.(BatchPropsCol)
 	if !ok || !unmasked(g, TraitBatchProps) {

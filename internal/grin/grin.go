@@ -185,7 +185,8 @@ func (t Trait) String() string {
 	return fmt.Sprintf("trait(%d)", uint8(t))
 }
 
-// TraitMasker is implemented by wrapping backends (fault injection, future
+// TraitMasker is implemented by wrapping backends (the store interposer
+// internal/storage/meter, which also carries fault injection; future
 // remote-fragment proxies) whose Go method set is wider than the store they
 // wrap: HasTrait reports the capability set of the *inner* store, so
 // capability discovery through Has/As* stays honest. A wrapper over a

@@ -113,7 +113,7 @@ func TestFaultMatrix(t *testing.T) {
 	cells := []cell{
 		{
 			name:  "error",
-			fault: chaos.Fault{Site: chaos.SiteExpandBatch, Kind: chaos.KindError, N: 2},
+			fault: chaos.Fault{Site: obsv.StoreExpandBatch, Kind: chaos.KindError, N: 2},
 			wantTyped: func(err error) bool {
 				var ce *chaos.Error
 				return errors.As(err, &ce) && !retry.Transient(err)
@@ -121,7 +121,7 @@ func TestFaultMatrix(t *testing.T) {
 		},
 		{
 			name:  "panic",
-			fault: chaos.Fault{Site: chaos.SiteExpandBatch, Kind: chaos.KindPanic, N: 3},
+			fault: chaos.Fault{Site: obsv.StoreExpandBatch, Kind: chaos.KindPanic, N: 3},
 			wantTyped: func(err error) bool {
 				var pe *exec.PanicError
 				return errors.As(err, &pe)
@@ -129,7 +129,7 @@ func TestFaultMatrix(t *testing.T) {
 		},
 		{
 			name:  "transient",
-			fault: chaos.Fault{Site: chaos.SiteExpandBatch, Kind: chaos.KindTransientError, N: 1},
+			fault: chaos.Fault{Site: obsv.StoreExpandBatch, Kind: chaos.KindTransientError, N: 1},
 			wantTyped: func(err error) bool {
 				var ce *chaos.Error
 				return errors.As(err, &ce) && retry.Transient(err)
@@ -137,11 +137,11 @@ func TestFaultMatrix(t *testing.T) {
 		},
 		{
 			name:  "shortread",
-			fault: chaos.Fault{Site: chaos.SiteScanBatch, Kind: chaos.KindShortRead, N: 1},
+			fault: chaos.Fault{Site: obsv.StoreScanBatch, Kind: chaos.KindShortRead, N: 1},
 		},
 		{
 			name:  "latency",
-			fault: chaos.Fault{Site: chaos.SiteExpandBatch, Kind: chaos.KindLatency, N: 1, Latency: 100 * time.Microsecond},
+			fault: chaos.Fault{Site: obsv.StoreExpandBatch, Kind: chaos.KindLatency, N: 1, Latency: 100 * time.Microsecond},
 		},
 	}
 
@@ -202,6 +202,49 @@ func TestFaultMatrix(t *testing.T) {
 	}
 }
 
+// TestTypedGatherFault drives the matrix into the typed-column gather: an
+// injected error at GatherVertexProp on a property-filter query must surface
+// as a typed *chaos.Error wherever the plan reaches that site — on vineyard,
+// through the typed kernel's GatherVertexPropCol — and a backend whose plan
+// never calls it must return the clean reference rows.
+func TestTypedGatherFault(t *testing.T) {
+	defer query.CheckLeaks(t)()
+	plan, err := cypher.Parse(`MATCH (p:Person)-[:KNOWS]->(f:Person)-[:LIKES]->(po:Post)
+WHERE po.creationDate > 5 RETURN id(po)`, dataset.SNBSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := snbBackends(t)
+	for _, engine := range matrixEngines {
+		for backend, store := range stores {
+			want, err := runOn(engine, store, plan, 0, context.Background())
+			if err != nil {
+				t.Fatalf("%s/%s: clean run failed: %v", engine, backend, err)
+			}
+			t.Run(engine+"/"+backend, func(t *testing.T) {
+				faulty := chaos.Wrap(store, chaos.Options{Seed: 1, Faults: []chaos.Fault{
+					{Site: obsv.StoreGatherVProp, Kind: chaos.KindError, N: 1},
+				}})
+				rows, err := runOn(engine, faulty, plan, 0, context.Background())
+				if faulty.Stats().Calls(obsv.StoreGatherVProp) == 0 {
+					if backend == "vineyard" {
+						t.Fatal("vineyard's property filter never reached the gather site")
+					}
+					if err != nil {
+						t.Fatalf("fault at an unreached site failed the query: %v", err)
+					}
+					mustExactEqual(t, "unreached", renderRows(rows), renderRows(want))
+					return
+				}
+				var ce *chaos.Error
+				if !errors.As(err, &ce) || ce.Site != obsv.StoreGatherVProp {
+					t.Fatalf("gather fault surfaced as %v, want a *chaos.Error at GatherVertexProp", err)
+				}
+			})
+		}
+	}
+}
+
 // TestTransientFaultRetries demonstrates the retry layer over the matrix: a
 // transient fault fails the first attempt, the seeded backoff re-runs the
 // query, and the second attempt (the fault schedule already consumed)
@@ -220,7 +263,7 @@ func TestTransientFaultRetries(t *testing.T) {
 				t.Fatalf("%s/%s: clean run failed: %v", engine, backend, err)
 			}
 			faulty := chaos.Wrap(store, chaos.Options{Seed: 5, Faults: []chaos.Fault{
-				{Site: chaos.SiteExpandBatch, Kind: chaos.KindTransientError, N: 1},
+				{Site: obsv.StoreExpandBatch, Kind: chaos.KindTransientError, N: 1},
 			}})
 			attempts := 0
 			var rows []exec.Row
@@ -257,7 +300,7 @@ func TestDeadlineCancellationAndBudget(t *testing.T) {
 	for _, engine := range matrixEngines {
 		t.Run(engine+"/deadline", func(t *testing.T) {
 			slow := chaos.Wrap(store, chaos.Options{Faults: []chaos.Fault{
-				{Site: chaos.SiteExpandBatch, Kind: chaos.KindLatency, N: 1, Latency: 2 * time.Millisecond},
+				{Site: obsv.StoreExpandBatch, Kind: chaos.KindLatency, N: 1, Latency: 2 * time.Millisecond},
 			}})
 			ctx, cancel := context.WithTimeout(context.Background(), 8*time.Millisecond)
 			defer cancel()
@@ -297,7 +340,7 @@ func TestSeededScheduleReproduces(t *testing.T) {
 	// Execution-only site: catalog building scans the store during engine
 	// construction, where the lifecycle contract (and its recover boundary)
 	// does not apply, so seeded schedules must not land there.
-	sites := []chaos.Site{chaos.SiteExpandBatch}
+	sites := []obsv.StoreSite{obsv.StoreExpandBatch}
 	outcome := func(seed int64) string {
 		opt := chaos.Plan(seed, sites, kinds, 8)
 		rows, err := runOn("gaia", chaos.Wrap(stores["vineyard"], opt), plan, 0, context.Background())

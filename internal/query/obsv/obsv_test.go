@@ -140,8 +140,10 @@ func TestEngineGauges(t *testing.T) {
 	}
 }
 
-// TestStoreSiteAlignment pins the chaos alignment contract: 15 sites, chaos's
-// exact names, batch sites from ExpandBatch on, snapshots in enum order.
+// TestStoreSiteAlignment pins the site enumeration the meter counts and chaos
+// schedules faults at: 15 sites, their exact names (per-layer benchmark
+// metrics are keyed by them), batch sites from ExpandBatch on, snapshots in
+// enum order.
 func TestStoreSiteAlignment(t *testing.T) {
 	wantNames := []string{
 		"Degree", "Neighbors", "AdjSlice", "VertexProp", "EdgeProp",

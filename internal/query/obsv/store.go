@@ -2,10 +2,11 @@ package obsv
 
 import "sync/atomic"
 
-// StoreSite enumerates the GRIN trait call sites a metering wrapper counts —
-// the same 15 sites internal/storage/chaos injects faults at, in the same
-// order, with the same names. Keeping the enumerations aligned means a fault
-// schedule and a call-count profile describe the same surface.
+// StoreSite enumerates the GRIN trait call sites the store interposer
+// (internal/storage/meter) counts. It is the repo's single site enumeration:
+// internal/storage/chaos schedules its faults at these sites, on the same
+// wrapper's counters, so a fault schedule and a call-count profile always
+// describe the same surface.
 type StoreSite uint8
 
 const (
@@ -35,7 +36,7 @@ var storeSiteNames = [NumStoreSites]string{
 	"GatherVertexLabels", "GatherEdgeLabels", "ScanBatch",
 }
 
-// String returns the chaos-aligned site name.
+// String returns the site name (the GRIN trait method it counts).
 func (s StoreSite) String() string {
 	if s < NumStoreSites {
 		return storeSiteNames[s]
@@ -67,8 +68,9 @@ func (s *StoreStats) SetBackend(name string) { s.backend = name }
 // inner backend (wrap time, single goroutine).
 func (s *StoreStats) SetNative(site StoreSite, native bool) { s.native[site] = native }
 
-// Count records one call to the site.
-func (s *StoreStats) Count(site StoreSite) { s.calls[site].Add(1) }
+// Count records one call to the site and returns the site's call number
+// (its new count) — the number a fault schedule fires on.
+func (s *StoreStats) Count(site StoreSite) int64 { return s.calls[site].Add(1) }
 
 // Calls reads the site's counter.
 func (s *StoreStats) Calls(site StoreSite) int64 { return s.calls[site].Load() }
@@ -100,4 +102,23 @@ func (s *StoreStats) Snapshot() StoreSnapshot {
 		snap.Sites[i] = StoreSiteSnapshot{Site: i.String(), Calls: s.calls[i].Load(), Native: s.native[i], Batch: i.Batch()}
 	}
 	return snap
+}
+
+// Total sums the calls over every site.
+func (s StoreSnapshot) Total() int64 {
+	var n int64
+	for _, site := range s.Sites {
+		n += site.Calls
+	}
+	return n
+}
+
+// Since returns the snapshot with the calls already counted in before (an
+// earlier snapshot of the same sink) subtracted: the calls made in between.
+func (s StoreSnapshot) Since(before StoreSnapshot) StoreSnapshot {
+	out := StoreSnapshot{Backend: s.Backend, Sites: append([]StoreSiteSnapshot(nil), s.Sites...)}
+	for i := range out.Sites {
+		out.Sites[i].Calls -= before.Sites[i].Calls
+	}
+	return out
 }

@@ -7,6 +7,7 @@ package query_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/grin"
 	"repro/internal/query"
 	"repro/internal/query/cypher"
+	"repro/internal/query/exec"
 	"repro/internal/query/gaia"
 	"repro/internal/query/gremlin"
 	"repro/internal/query/hiactor"
@@ -25,11 +27,14 @@ import (
 	"repro/internal/storage/vineyard"
 )
 
-// newObserved builds a collector with tracing enabled and a metered view of
-// the store feeding its Store section.
-func newObserved(st grin.Graph) (*obsv.QueryStats, grin.Graph) {
+// newObserved builds a collector with tracing enabled and, when metered, a
+// metered view of the store feeding its Store section.
+func newObserved(st grin.Graph, metered bool) (*obsv.QueryStats, grin.Graph) {
 	obs := obsv.NewQueryStats()
 	obs.Trace = obsv.NewTrace()
+	if !metered {
+		return obs, st
+	}
 	mg := meter.Wrap(st, nil)
 	obs.Store = mg.Stats()
 	return obs, mg
@@ -38,7 +43,10 @@ func newObserved(st grin.Graph) (*obsv.QueryStats, grin.Graph) {
 // TestObservedParityMatrix reruns the SNB parity mix with full observability
 // attached — stats, tracing, and a metering store wrapper — and asserts every
 // engine returns rows identical to its unobserved run. Collection must be
-// purely passive; the leak check pins that observed runs also unwind clean.
+// purely passive, and metering must not change how the query runs: the
+// per-stage deterministic counters (rows, batches, kernel-vs-boxed filter
+// steps) of a metered run equal those of an observed run over the bare
+// store. The leak check pins that observed runs also unwind clean.
 func TestObservedParityMatrix(t *testing.T) {
 	defer query.CheckLeaks(t)()
 	schema := dataset.SNBSchema()
@@ -57,53 +65,53 @@ func TestObservedParityMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-
-					// naive: observed vs unobserved.
-					want, _, err := naive.RunWith(context.Background(), plan, st, tc.params, naive.Options{BatchSize: bs})
-					if err != nil {
-						t.Fatal(err)
+					// check runs one engine unobserved, observed over the
+					// bare store, and observed over a metered view.
+					check := func(label string, run func(g grin.Graph, obs *obsv.QueryStats) ([]exec.Row, error)) {
+						t.Helper()
+						want, err := run(st, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						bare, bst := newObserved(st, false)
+						if _, err := run(bst, bare); err != nil {
+							t.Fatal(err)
+						}
+						obs, mst := newObserved(st, true)
+						got, err := run(mst, obs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						mustExactEqual(t, label+" observed", renderRows(got), renderRows(want))
+						assertCollected(t, obs, len(got))
+						// A LIMIT short-circuit's rows-in depend on worker
+						// scheduling even at parallelism 1, metered or not.
+						if tc.name == "limit-short-circuit" {
+							return
+						}
+						if m, b := obs.Deterministic(), bare.Deterministic(); !reflect.DeepEqual(m, b) {
+							t.Errorf("%s: metering changed the run\nmetered: %+v\nbare:    %+v", label, m, b)
+						}
 					}
-					obs, mst := newObserved(st)
-					got, _, err := naive.RunWith(context.Background(), plan, mst, tc.params, naive.Options{BatchSize: bs, Obs: obs})
-					if err != nil {
-						t.Fatal(err)
-					}
-					mustExactEqual(t, "naive observed", renderRows(got), renderRows(want))
-					assertCollected(t, obs, len(got))
 
+					check("naive", func(g grin.Graph, obs *obsv.QueryStats) ([]exec.Row, error) {
+						rows, _, err := naive.RunWith(context.Background(), plan, g, tc.params, naive.Options{BatchSize: bs, Obs: obs})
+						return rows, err
+					})
 					// gaia at serial and full parallelism.
 					for _, par := range []int{1, runtime.NumCPU()} {
-						eng := gaia.NewEngine(st, gaia.Options{Parallelism: par, BatchSize: bs})
-						wantG, _, err := eng.Submit(context.Background(), plan, tc.params)
-						if err != nil {
-							t.Fatal(err)
-						}
-						obs, mst := newObserved(st)
-						engO := gaia.NewEngine(mst, gaia.Options{Parallelism: par, BatchSize: bs})
-						gotG, _, err := engO.SubmitObserved(context.Background(), plan, tc.params, obs)
-						if err != nil {
-							t.Fatal(err)
-						}
-						mustExactEqual(t, "gaia observed", renderRows(gotG), renderRows(wantG))
-						assertCollected(t, obs, len(gotG))
+						check(fmt.Sprintf("gaia par=%d", par), func(g grin.Graph, obs *obsv.QueryStats) ([]exec.Row, error) {
+							rows, _, err := gaia.NewEngine(g, gaia.Options{Parallelism: par, BatchSize: bs}).SubmitObserved(context.Background(), plan, tc.params, obs)
+							return rows, err
+						})
 					}
-
 					// hiactor through its actor pool.
-					he := hiactor.NewEngine(func() grin.Graph { return st }, hiactor.Options{Shards: 2, BatchSize: bs})
-					wantH, _, err := he.Submit(context.Background(), plan, tc.params)
-					he.Close()
-					if err != nil {
-						t.Fatal(err)
-					}
-					obs, mst = newObserved(st)
-					heO := hiactor.NewEngine(func() grin.Graph { return mst }, hiactor.Options{Shards: 2, BatchSize: bs})
-					gotH, _, err := heO.SubmitObserved(context.Background(), plan, tc.params, obs)
-					heO.Close()
-					if err != nil {
-						t.Fatal(err)
-					}
-					mustExactEqual(t, "hiactor observed", renderRows(gotH), renderRows(wantH))
-					assertCollected(t, obs, len(gotH))
+					check("hiactor", func(g grin.Graph, obs *obsv.QueryStats) ([]exec.Row, error) {
+						he := hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 2, BatchSize: bs})
+						defer he.Close()
+						rows, _, err := he.SubmitObserved(context.Background(), plan, tc.params, obs)
+						return rows, err
+					})
 				})
 			}
 		})

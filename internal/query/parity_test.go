@@ -177,6 +177,11 @@ LIMIT 13`,
 		q: `g.V().hasLabel('Person').out('KNOWS').in('KNOWS').dedup().values('firstName')`,
 	},
 	{
+		name: "typed-gather-filter", lang: "cypher", crossEngine: true,
+		q: `MATCH (p:Person)-[:KNOWS]->(f:Person)-[:LIKES]->(po:Post)
+WHERE po.creationDate > 5 RETURN id(po)`,
+	},
+	{
 		name: "limit-short-circuit", lang: "cypher", crossEngine: false,
 		q: `MATCH (p:Person)-[:KNOWS]->(f:Person) RETURN f.firstName LIMIT 13`,
 	},

@@ -1,66 +1,28 @@
-// Package chaos is the deterministic fault-injection storage backend: a GRIN
-// wrapper over any inner backend that delegates every trait call, counts the
-// calls per site, and fires configured faults at exact call numbers. The
-// GRIN traits are errorless by design, so an injected error is *panicked* as
-// a value implementing the ChaosInjected marker; the exec layer's stage
-// recovery converts it back into an ordinary wrapped error — exactly the
-// unwinding a failing remote-fragment RPC would take in the distributed
-// deployment. Raw injected panics stay panics and surface as
-// *exec.PanicError, exercising the isolation path.
+// Package chaos is the deterministic fault-injection storage backend: a
+// fault schedule run as the per-call hook of the store interposer
+// (internal/storage/meter), firing at exact call numbers of that wrapper's
+// own per-site counters. A chaos-wrapped store is therefore also metered,
+// masks its traits down to the inner store's, and keeps the typed-column
+// gather of stores that have it. The GRIN traits are errorless by design,
+// so an injected error is *panicked* as a value implementing the
+// ChaosInjected marker; the exec layer's stage recovery converts it back
+// into an ordinary wrapped error — exactly the unwinding a failing
+// remote-fragment RPC would take in the distributed deployment. Raw
+// injected panics stay panics and surface as *exec.PanicError.
 //
-// Schedules are reproducible: faults fire on the Nth call to a site (counted
-// atomically across all workers of a query), and Plan derives a whole fault
-// schedule from a single seed with a splitmix64 stream — the same seed
-// always yields the same schedule, so any matrix failure replays from its
-// logged seed.
-//
-// The wrapper's Go method set covers every GRIN trait regardless of what the
-// inner store supports; HasTrait masks it down to the inner store's real
-// capability set so discovery through grin.Has/grin.As* stays honest (a
-// wrapped livegraph still reports no PropertyReader).
+// Schedules are reproducible: Plan derives a whole fault schedule from a
+// single seed with a splitmix64 stream, so any matrix failure replays from
+// its logged seed.
 package chaos
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/grin"
+	"repro/internal/query/obsv"
+	"repro/internal/storage/meter"
 )
-
-// Site names an injectable call site — one per GRIN trait method.
-type Site string
-
-// The injectable sites. Scalar topology/property reads are the per-row hot
-// paths; the batch sites are where the vectorized runtime actually lands.
-const (
-	SiteDegree        Site = "Degree"
-	SiteNeighbors     Site = "Neighbors"
-	SiteAdjSlice      Site = "AdjSlice"
-	SiteVertexProp    Site = "VertexProp"
-	SiteEdgeProp      Site = "EdgeProp"
-	SiteEdgeWeight    Site = "EdgeWeight"
-	SiteLookupVertex  Site = "LookupVertex"
-	SiteLabelRange    Site = "LabelRange"
-	SiteScanVertices  Site = "ScanVertices"
-	SiteExpandBatch   Site = "ExpandBatch"
-	SiteGatherVProp   Site = "GatherVertexProp"
-	SiteGatherEProp   Site = "GatherEdgeProp"
-	SiteGatherVLabels Site = "GatherVertexLabels"
-	SiteGatherELabels Site = "GatherEdgeLabels"
-	SiteScanBatch     Site = "ScanBatch"
-)
-
-// Sites lists every injectable site, for seeded schedules.
-func Sites() []Site {
-	return []Site{
-		SiteDegree, SiteNeighbors, SiteAdjSlice, SiteVertexProp, SiteEdgeProp,
-		SiteEdgeWeight, SiteLookupVertex, SiteLabelRange, SiteScanVertices,
-		SiteExpandBatch, SiteGatherVProp, SiteGatherEProp, SiteGatherVLabels,
-		SiteGatherELabels, SiteScanBatch,
-	}
-}
 
 // Kind is what happens when a fault fires.
 type Kind uint8
@@ -107,7 +69,7 @@ func (k Kind) String() string {
 // apply from the Nth call onward — a single stretched or shortened call
 // rarely lands where the schedule intends, a persistent one always does.
 type Fault struct {
-	Site Site
+	Site obsv.StoreSite
 	Kind Kind
 	// N is the triggering call number, 1-based. Zero means 1.
 	N int64
@@ -128,7 +90,7 @@ type Options struct {
 // errorless GRIN traits; exec's stage recovery detects ChaosInjected and
 // rewraps it as an ordinary error.
 type Error struct {
-	Site Site
+	Site obsv.StoreSite
 	Kind Kind
 	// N is the call number at which the fault fired.
 	N int64
@@ -149,277 +111,37 @@ func (e *Error) ChaosInjected() bool { return true }
 // retry layer's structural test.
 func (e *Error) Transient() bool { return e.Kind == KindTransientError }
 
-// site is one call site's counter plus its slice of the schedule.
-type site struct {
-	calls  atomic.Int64
-	faults []Fault
-}
-
-// Graph wraps an inner GRIN backend with fault injection. Safe for
-// concurrent use to the same degree the inner store is: the schedule is
-// immutable after Wrap and counters are atomic.
-type Graph struct {
-	inner grin.Graph
-	seed  int64
-	sites map[Site]*site
-
-	// Pre-asserted optional traits of the inner store; nil when absent.
-	// HasTrait masks the wrapper's method set down to what is non-nil.
-	adj   grin.AdjArray
-	props grin.PropertyReader
-	wts   grin.WeightReader
-	idx   grin.Index
-	pred  grin.PredicatePush
-	part  grin.Partitioned
-	vers  grin.Versioned
-	badj  grin.BatchAdjacency
-	bprop grin.BatchProps
-	bscan grin.BatchScan
-}
-
-// Wrap builds a fault-injecting view of inner.
-func Wrap(inner grin.Graph, opt Options) *Graph {
-	g := &Graph{inner: inner, seed: opt.Seed, sites: map[Site]*site{}}
+// Wrap builds a fault-injecting view of inner: a metered wrapper named
+// chaos(inner) whose hook fires the schedule on the call numbers of the
+// wrapper's own counters (read them back via Stats). The schedule is
+// immutable after Wrap, so the view is safe for concurrent use to the same
+// degree inner is.
+func Wrap(inner grin.Graph, opt Options) *meter.Graph {
+	var sched [obsv.NumStoreSites][]Fault
 	for _, f := range opt.Faults {
 		if f.N <= 0 {
 			f.N = 1
 		}
-		st := g.sites[f.Site]
-		if st == nil {
-			st = &site{}
-			g.sites[f.Site] = st
+		sched[f.Site] = append(sched[f.Site], f)
+	}
+	hook := func(s obsv.StoreSite, n int64) (short bool) {
+		for _, f := range sched[s] {
+			persistent := f.Kind == KindLatency || f.Kind == KindShortRead
+			if n != f.N && !(persistent && n > f.N) {
+				continue
+			}
+			switch f.Kind {
+			case KindError, KindTransientError:
+				panic(&Error{Site: s, Kind: f.Kind, N: n, Seed: opt.Seed})
+			case KindPanic:
+				panic(fmt.Sprintf("chaos: injected panic at %s call %d (seed %d)", s, n, opt.Seed))
+			case KindLatency:
+				time.Sleep(f.Latency)
+			case KindShortRead:
+				short = true
+			}
 		}
-		st.faults = append(st.faults, f)
+		return short
 	}
-	g.adj, _ = grin.AsAdjArray(inner)
-	g.props, _ = grin.AsPropertyReader(inner)
-	g.wts, _ = grin.AsWeightReader(inner)
-	g.idx, _ = grin.AsIndex(inner)
-	g.pred, _ = grin.AsPredicatePush(inner)
-	g.part, _ = grin.AsPartitioned(inner)
-	g.vers, _ = grin.AsVersioned(inner)
-	g.badj, _ = grin.AsBatchAdjacency(inner)
-	g.bprop, _ = grin.AsBatchProps(inner)
-	g.bscan, _ = grin.AsBatchScan(inner)
-	return g
-}
-
-// Inner returns the wrapped store.
-func (g *Graph) Inner() grin.Graph { return g.inner }
-
-// Calls reports how many times the site has been called — test introspection
-// for pinning schedules to real call counts.
-func (g *Graph) Calls(s Site) int64 {
-	if st := g.sites[s]; st != nil {
-		return st.calls.Load()
-	}
-	return 0
-}
-
-// at counts one call to the site and fires any fault scheduled for this call
-// number. KindShortRead is reported to the caller (only ScanBatch acts on
-// it); the other kinds act here.
-func (g *Graph) at(s Site) (short bool) {
-	st := g.sites[s]
-	if st == nil {
-		return false
-	}
-	n := st.calls.Add(1)
-	for _, f := range st.faults {
-		persistent := f.Kind == KindLatency || f.Kind == KindShortRead
-		if n != f.N && !(persistent && n > f.N) {
-			continue
-		}
-		switch f.Kind {
-		case KindError, KindTransientError:
-			panic(&Error{Site: s, Kind: f.Kind, N: n, Seed: g.seed})
-		case KindPanic:
-			panic(fmt.Sprintf("chaos: injected panic at %s call %d (seed %d)", s, n, g.seed))
-		case KindLatency:
-			time.Sleep(f.Latency)
-		case KindShortRead:
-			short = true
-		}
-	}
-	return short
-}
-
-// HasTrait reports the *inner* store's capability set (grin.TraitMasker):
-// the wrapper type has every trait method, but only the traits the wrapped
-// store really provides are advertised.
-func (g *Graph) HasTrait(t grin.Trait) bool { return grin.Has(g.inner, t) }
-
-// BackendName identifies the wrapper and its inner store in logs/manifests.
-func (g *Graph) BackendName() string {
-	name := "unknown"
-	if n, ok := g.inner.(grin.Named); ok {
-		name = n.BackendName()
-	}
-	return "chaos(" + name + ")"
-}
-
-// Graph (topology) — always present.
-
-// NumVertices delegates; the counting sites are the per-row and per-batch
-// read paths, not the O(1) metadata getters the optimizer calls freely.
-func (g *Graph) NumVertices() int { return g.inner.NumVertices() }
-
-// NumEdges delegates.
-func (g *Graph) NumEdges() int { return g.inner.NumEdges() }
-
-// Degree delegates with injection.
-func (g *Graph) Degree(v graph.VID, dir graph.Direction) int {
-	g.at(SiteDegree)
-	return g.inner.Degree(v, dir)
-}
-
-// Neighbors delegates with injection.
-func (g *Graph) Neighbors(v graph.VID, dir graph.Direction, yield func(graph.VID, graph.EID) bool) {
-	g.at(SiteNeighbors)
-	g.inner.Neighbors(v, dir, yield)
-}
-
-// AdjArray.
-
-// AdjSlice delegates with injection.
-func (g *Graph) AdjSlice(v graph.VID, dir graph.Direction) []grin.Target {
-	g.at(SiteAdjSlice)
-	return g.adj.AdjSlice(v, dir)
-}
-
-// PropertyReader.
-
-// Schema delegates (metadata; not an injection site).
-func (g *Graph) Schema() *graph.Schema { return g.props.Schema() }
-
-// VertexLabel delegates (label reads ride the property column machinery but
-// cannot fail independently in any real store).
-func (g *Graph) VertexLabel(v graph.VID) graph.LabelID { return g.props.VertexLabel(v) }
-
-// VertexProp delegates with injection.
-func (g *Graph) VertexProp(v graph.VID, p graph.PropID) (graph.Value, bool) {
-	g.at(SiteVertexProp)
-	return g.props.VertexProp(v, p)
-}
-
-// EdgeLabel delegates.
-func (g *Graph) EdgeLabel(e graph.EID) graph.LabelID { return g.props.EdgeLabel(e) }
-
-// EdgeProp delegates with injection.
-func (g *Graph) EdgeProp(e graph.EID, p graph.PropID) (graph.Value, bool) {
-	g.at(SiteEdgeProp)
-	return g.props.EdgeProp(e, p)
-}
-
-// WeightReader.
-
-// EdgeWeight delegates with injection.
-func (g *Graph) EdgeWeight(e graph.EID) float64 {
-	g.at(SiteEdgeWeight)
-	return g.wts.EdgeWeight(e)
-}
-
-// Index.
-
-// LookupVertex delegates with injection.
-func (g *Graph) LookupVertex(label graph.LabelID, extID int64) (graph.VID, bool) {
-	g.at(SiteLookupVertex)
-	return g.idx.LookupVertex(label, extID)
-}
-
-// ExternalID delegates.
-func (g *Graph) ExternalID(v graph.VID) int64 { return g.idx.ExternalID(v) }
-
-// LabelRange delegates with injection.
-func (g *Graph) LabelRange(label graph.LabelID) (lo, hi graph.VID, ok bool) {
-	g.at(SiteLabelRange)
-	return g.idx.LabelRange(label)
-}
-
-// PredicatePush.
-
-// ScanVertices delegates with injection.
-func (g *Graph) ScanVertices(label graph.LabelID, pred func(graph.VID) bool, yield func(graph.VID) bool) {
-	g.at(SiteScanVertices)
-	g.pred.ScanVertices(label, pred, yield)
-}
-
-// Partitioned.
-
-// Fragment delegates.
-func (g *Graph) Fragment() (id, total int) { return g.part.Fragment() }
-
-// IsInner delegates.
-func (g *Graph) IsInner(v graph.VID) bool { return g.part.IsInner(v) }
-
-// Owner delegates.
-func (g *Graph) Owner(v graph.VID) int { return g.part.Owner(v) }
-
-// GlobalID delegates.
-func (g *Graph) GlobalID(v graph.VID) graph.VID { return g.part.GlobalID(v) }
-
-// Versioned.
-
-// ReadVersion delegates.
-func (g *Graph) ReadVersion() uint64 { return g.vers.ReadVersion() }
-
-// Snapshot wraps the snapshot too, sharing this wrapper's counters and
-// schedule: faults keep firing on the view a query actually reads.
-func (g *Graph) Snapshot(version uint64) grin.Graph {
-	snap := g.vers.Snapshot(version)
-	ng := &Graph{inner: snap, seed: g.seed, sites: g.sites}
-	ng.adj, _ = grin.AsAdjArray(snap)
-	ng.props, _ = grin.AsPropertyReader(snap)
-	ng.wts, _ = grin.AsWeightReader(snap)
-	ng.idx, _ = grin.AsIndex(snap)
-	ng.pred, _ = grin.AsPredicatePush(snap)
-	ng.part, _ = grin.AsPartitioned(snap)
-	ng.vers, _ = grin.AsVersioned(snap)
-	ng.badj, _ = grin.AsBatchAdjacency(snap)
-	ng.bprop, _ = grin.AsBatchProps(snap)
-	ng.bscan, _ = grin.AsBatchScan(snap)
-	return ng
-}
-
-// Batch traits.
-
-// ExpandBatch delegates with injection.
-func (g *Graph) ExpandBatch(frontier []graph.VID, dir graph.Direction, out *grin.AdjBatch) {
-	g.at(SiteExpandBatch)
-	g.badj.ExpandBatch(frontier, dir, out)
-}
-
-// GatherVertexProp delegates with injection.
-func (g *Graph) GatherVertexProp(vs []graph.VID, prop string, out []graph.Value) {
-	g.at(SiteGatherVProp)
-	g.bprop.GatherVertexProp(vs, prop, out)
-}
-
-// GatherEdgeProp delegates with injection.
-func (g *Graph) GatherEdgeProp(es []graph.EID, prop string, out []graph.Value) {
-	g.at(SiteGatherEProp)
-	g.bprop.GatherEdgeProp(es, prop, out)
-}
-
-// GatherVertexLabels delegates with injection.
-func (g *Graph) GatherVertexLabels(vs []graph.VID, out []graph.LabelID) {
-	g.at(SiteGatherVLabels)
-	g.bprop.GatherVertexLabels(vs, out)
-}
-
-// GatherEdgeLabels delegates with injection.
-func (g *Graph) GatherEdgeLabels(es []graph.EID, out []graph.LabelID) {
-	g.at(SiteGatherELabels)
-	g.bprop.GatherEdgeLabels(es, out)
-}
-
-// ScanBatch delegates with injection. A scheduled short read halves the
-// caller's buffer — legal under the trait contract (fill *up to* len(buf),
-// return a resume cursor), so a correct runtime streams the same vertex
-// sequence in more, smaller chunks.
-func (g *Graph) ScanBatch(label graph.LabelID, start graph.VID, buf []graph.VID) (int, graph.VID) {
-	if g.at(SiteScanBatch) && len(buf) > 1 {
-		buf = buf[:(len(buf)+1)/2]
-	}
-	return g.bscan.ScanBatch(label, start, buf)
+	return meter.Interpose(inner, nil, "chaos", hook)
 }

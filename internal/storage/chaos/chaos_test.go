@@ -2,13 +2,15 @@ package chaos_test
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/grin"
+	"repro/internal/query/obsv"
 	"repro/internal/storage/chaos"
-	"repro/internal/storage/livegraph"
 	"repro/internal/storage/vineyard"
 )
 
@@ -21,37 +23,10 @@ func smallVineyard(t *testing.T) grin.Graph {
 	return st
 }
 
-// TestTraitMasking pins the honesty contract: a chaos wrapper's capability
-// set is exactly the inner store's, even though the wrapper type has every
-// trait method.
-func TestTraitMasking(t *testing.T) {
-	lg, err := livegraph.LoadBatch(dataset.SNB(dataset.SNBOptions{Persons: 20, Seed: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vy := smallVineyard(t)
-	for _, tc := range []struct {
-		name  string
-		inner grin.Graph
-	}{
-		{"vineyard", vy},
-		{"livegraph", lg},
-	} {
-		var w grin.Graph = chaos.Wrap(tc.inner, chaos.Options{})
-		for tr := grin.Trait(0); tr < grin.TraitBatchScan+1; tr++ {
-			if got, want := grin.Has(w, tr), grin.Has(tc.inner, tr); got != want {
-				t.Errorf("%s: wrapper Has(%s) = %v, inner = %v", tc.name, tr, got, want)
-			}
-		}
-		// A direct type assertion would lie; the As* accessors must not.
-		if _, ok := w.(grin.PropertyReader); !ok {
-			t.Fatalf("%s: wrapper method set should include PropertyReader", tc.name)
-		}
-		if _, ok := grin.AsPropertyReader(w); ok != grin.Has(tc.inner, grin.TraitProperty) {
-			t.Errorf("%s: AsPropertyReader = %v, want inner capability", tc.name, ok)
-		}
-	}
-	if got, want := chaos.Wrap(vy, chaos.Options{}).BackendName(), "chaos(vineyard)"; got != want {
+// TestBackendName pins the wrapper's log name: a chaos view names itself
+// after the fault schedule and its inner store, not the metering it rides on.
+func TestBackendName(t *testing.T) {
+	if got, want := chaos.Wrap(smallVineyard(t), chaos.Options{}).BackendName(), "chaos(vineyard)"; got != want {
 		t.Errorf("BackendName = %q, want %q", got, want)
 	}
 }
@@ -61,7 +36,7 @@ func TestTraitMasking(t *testing.T) {
 func TestErrorFiresOnNthCall(t *testing.T) {
 	w := chaos.Wrap(smallVineyard(t), chaos.Options{
 		Seed:   7,
-		Faults: []chaos.Fault{{Site: chaos.SiteDegree, Kind: chaos.KindError, N: 3}},
+		Faults: []chaos.Fault{{Site: obsv.StoreDegree, Kind: chaos.KindError, N: 3}},
 	})
 	for i := 0; i < 2; i++ {
 		w.Degree(0, graph.Out) // calls 1 and 2: clean
@@ -79,7 +54,7 @@ func TestErrorFiresOnNthCall(t *testing.T) {
 		if !errors.As(err, &ce) {
 			t.Fatalf("panicked with %v, want *chaos.Error", err)
 		}
-		if ce.Site != chaos.SiteDegree || ce.N != 3 || ce.Seed != 7 {
+		if ce.Site != obsv.StoreDegree || ce.N != 3 || ce.Seed != 7 {
 			t.Errorf("fault fired at %s call %d seed %d, want Degree call 3 seed 7", ce.Site, ce.N, ce.Seed)
 		}
 		if ce.Transient() {
@@ -92,13 +67,48 @@ func TestErrorFiresOnNthCall(t *testing.T) {
 	w.Degree(0, graph.Out)
 }
 
+// TestErrorFiresOnceUnderConcurrency pins the atomic call numbering: however
+// many workers race past the scheduled call, exactly one call is the Nth, so
+// the fault fires exactly once, and every call is still counted.
+func TestErrorFiresOnceUnderConcurrency(t *testing.T) {
+	w := chaos.Wrap(smallVineyard(t), chaos.Options{
+		Faults: []chaos.Fault{{Site: obsv.StoreDegree, Kind: chaos.KindError, N: 5}},
+	})
+	const workers, perWorker = 8, 50
+	var fired atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < perWorker; j++ {
+				func() {
+					defer func() {
+						if recover() != nil {
+							fired.Add(1)
+						}
+					}()
+					w.Degree(0, graph.Out)
+				}()
+			}
+		}()
+	}
+	wg.Wait()
+	if n := fired.Load(); n != 1 {
+		t.Errorf("one-shot fault fired %d times, want 1", n)
+	}
+	if calls := w.Stats().Calls(obsv.StoreDegree); calls != workers*perWorker {
+		t.Errorf("counted %d Degree calls, want %d", calls, workers*perWorker)
+	}
+}
+
 // TestShortReadKeepsScanSequence pins the short-read legality: from the
 // trigger call on, ScanBatch returns fewer vertices per chunk, but a full
 // cursor walk yields the identical vertex sequence.
 func TestShortReadKeepsScanSequence(t *testing.T) {
 	inner := smallVineyard(t)
 	w := chaos.Wrap(inner, chaos.Options{
-		Faults: []chaos.Fault{{Site: chaos.SiteScanBatch, Kind: chaos.KindShortRead, N: 2}},
+		Faults: []chaos.Fault{{Site: obsv.StoreScanBatch, Kind: chaos.KindShortRead, N: 2}},
 	})
 	walk := func(g grin.BatchScan) []graph.VID {
 		var out []graph.VID
@@ -127,7 +137,7 @@ func TestShortReadKeepsScanSequence(t *testing.T) {
 			t.Fatalf("short-read walk diverged at %d: %d != %d", i, got[i], want[i])
 		}
 	}
-	if calls := w.Calls(chaos.SiteScanBatch); calls <= int64(len(want)/8) {
+	if calls := w.Stats().Calls(obsv.StoreScanBatch); calls <= int64(len(want)/8) {
 		t.Errorf("short reads should need more chunks: %d calls", calls)
 	}
 }
@@ -136,9 +146,13 @@ func TestShortReadKeepsScanSequence(t *testing.T) {
 // same schedule, a different seed a different one.
 func TestPlanIsDeterministic(t *testing.T) {
 	kinds := []chaos.Kind{chaos.KindError, chaos.KindTransientError, chaos.KindPanic, chaos.KindLatency}
-	a := chaos.Plan(42, chaos.Sites(), kinds, 16)
-	b := chaos.Plan(42, chaos.Sites(), kinds, 16)
-	if len(a.Faults) != len(chaos.Sites()) || len(b.Faults) != len(a.Faults) {
+	var sites []obsv.StoreSite
+	for s := obsv.StoreSite(0); s < obsv.NumStoreSites; s++ {
+		sites = append(sites, s)
+	}
+	a := chaos.Plan(42, sites, kinds, 16)
+	b := chaos.Plan(42, sites, kinds, 16)
+	if len(a.Faults) != len(sites) || len(b.Faults) != len(a.Faults) {
 		t.Fatalf("Plan sized %d/%d faults, want one per site", len(a.Faults), len(b.Faults))
 	}
 	differs := false
@@ -146,7 +160,7 @@ func TestPlanIsDeterministic(t *testing.T) {
 		if a.Faults[i] != b.Faults[i] {
 			t.Fatalf("same seed diverged at fault %d: %+v != %+v", i, a.Faults[i], b.Faults[i])
 		}
-		if c := chaos.Plan(43, chaos.Sites(), kinds, 16); c.Faults[i] != a.Faults[i] {
+		if c := chaos.Plan(43, sites, kinds, 16); c.Faults[i] != a.Faults[i] {
 			differs = true
 		}
 	}

@@ -1,19 +1,18 @@
-// Package meter is the instrumenting storage backend: a GRIN wrapper over
-// any inner backend that delegates every trait call and counts the calls per
-// site into an obsv.StoreStats. It is chaos's benign sibling — the same 15
-// call sites internal/storage/chaos enumerates for fault injection, counted
-// instead of sabotaged — so a fault schedule and a call profile always talk
-// about the same surface.
+// Package meter is the repo's one store interposer: a GRIN wrapper over any
+// inner backend that delegates every trait call, counts the calls per site
+// (obsv.StoreSite) into an obsv.StoreStats, and runs an optional per-call
+// hook. Plain metering (Wrap) runs no hook; internal/storage/chaos is this
+// wrapper with a fault schedule as its hook, so a chaos-wrapped store is
+// also metered and a fault schedule and a call profile name the same sites.
 //
-// Like chaos, the wrapper's Go method set covers every GRIN trait regardless
-// of what the inner store supports; HasTrait masks it down to the inner
-// store's real capability set, so capability discovery through grin.Has and
-// grin.As* stays honest. That masking is what makes fallback-vs-native
-// observable: when the inner backend lacks a batch trait, grin's generic
-// helpers take the scalar fallback *through the wrapper*, and the scalar
-// site counters (Neighbors, VertexProp, ...) rise where a native backend
-// would show batch calls (ExpandBatch, GatherVertexProp, ...). The
-// StoreStats native flags record which regime each site was in.
+// The wrapper's Go method set covers every GRIN trait plus the typed-column
+// gather grin.BatchPropsCol; HasTrait masks it down to the inner store's
+// real capability set, so discovery through grin.Has and grin.As* stays
+// honest and a metered query takes exactly the path an unmetered one does.
+// When the inner backend lacks a batch trait, grin's generic helpers take
+// the scalar fallback *through the wrapper*, so the scalar site counters
+// rise where a native backend would show batch calls; the StoreStats native
+// flags record which regime each site was in.
 //
 // Counting is one atomic add per call with no locks and no maps, so a
 // metered query stays safe for the engines' full parallelism and the counts
@@ -24,13 +23,19 @@ import (
 	"repro/internal/graph"
 	"repro/internal/grin"
 	"repro/internal/query/obsv"
+	"repro/internal/storage/column"
 )
 
-// Graph wraps an inner GRIN backend with call counting. Safe for concurrent
-// use to the same degree the inner store is: the stats sink is atomic.
+// Graph wraps an inner GRIN backend with call counting and an optional
+// per-call hook. Safe for concurrent use to the same degree the inner store
+// is: the stats sink is atomic and the hook is fixed at wrap time.
 type Graph struct {
 	inner grin.Graph
 	stats *obsv.StoreStats
+	name  string
+	// hook runs after each counted call with the call's number at its site;
+	// a true result asks ScanBatch for a short read. Nil for plain metering.
+	hook func(site obsv.StoreSite, n int64) (shortRead bool)
 
 	// Pre-asserted optional traits of the inner store; nil when absent.
 	// HasTrait masks the wrapper's method set down to what is non-nil.
@@ -43,6 +48,7 @@ type Graph struct {
 	vers  grin.Versioned
 	badj  grin.BatchAdjacency
 	bprop grin.BatchProps
+	bcol  grin.BatchPropsCol
 	bscan grin.BatchScan
 }
 
@@ -50,16 +56,21 @@ type Graph struct {
 // a fresh sink (read it back via Stats). Wrap also records the backend name
 // and the native/fallback regime of every site into the sink.
 func Wrap(inner grin.Graph, stats *obsv.StoreStats) *Graph {
+	return Interpose(inner, stats, "meter", nil)
+}
+
+// Interpose is Wrap with a per-call hook, run after each call is counted
+// and before it is delegated, with the call's 1-based number at its site
+// (atomic across goroutines, so exactly one call sees each number); name
+// labels the wrapper in BackendName. It is the seam internal/storage/chaos
+// builds its fault schedule on.
+func Interpose(inner grin.Graph, stats *obsv.StoreStats, name string, hook func(site obsv.StoreSite, n int64) (shortRead bool)) *Graph {
 	if stats == nil {
 		stats = &obsv.StoreStats{}
 	}
-	g := &Graph{inner: inner, stats: stats}
+	g := &Graph{inner: inner, stats: stats, name: name, hook: hook}
 	g.bind(inner)
-	name := "unknown"
-	if n, ok := inner.(grin.Named); ok {
-		name = n.BackendName()
-	}
-	stats.SetBackend(name)
+	stats.SetBackend(innerName(inner))
 	stats.SetNative(obsv.StoreDegree, true)
 	stats.SetNative(obsv.StoreNeighbors, true)
 	stats.SetNative(obsv.StoreAdjSlice, g.adj != nil)
@@ -88,7 +99,22 @@ func (g *Graph) bind(inner grin.Graph) {
 	g.vers, _ = grin.AsVersioned(inner)
 	g.badj, _ = grin.AsBatchAdjacency(inner)
 	g.bprop, _ = grin.AsBatchProps(inner)
+	g.bcol, _ = grin.AsBatchPropsCol(inner)
 	g.bscan, _ = grin.AsBatchScan(inner)
+}
+
+func innerName(inner grin.Graph) string {
+	if n, ok := inner.(grin.Named); ok {
+		return n.BackendName()
+	}
+	return "unknown"
+}
+
+// at counts one call to the site and runs the hook, reporting whether the
+// hook asked for a short read.
+func (g *Graph) at(s obsv.StoreSite) bool {
+	n := g.stats.Count(s)
+	return g.hook != nil && g.hook(s, n)
 }
 
 // Inner returns the wrapped store.
@@ -103,17 +129,12 @@ func (g *Graph) Stats() *obsv.StoreStats { return g.stats }
 func (g *Graph) HasTrait(t grin.Trait) bool { return grin.Has(g.inner, t) }
 
 // BackendName identifies the wrapper and its inner store in logs/manifests.
-func (g *Graph) BackendName() string {
-	name := "unknown"
-	if n, ok := g.inner.(grin.Named); ok {
-		name = n.BackendName()
-	}
-	return "meter(" + name + ")"
-}
+func (g *Graph) BackendName() string { return g.name + "(" + innerName(g.inner) + ")" }
 
 // Graph (topology) — always present.
 
-// NumVertices delegates (O(1) metadata; not a counted site, matching chaos).
+// NumVertices delegates (O(1) metadata the optimizer calls freely; not a
+// counted site).
 func (g *Graph) NumVertices() int { return g.inner.NumVertices() }
 
 // NumEdges delegates.
@@ -121,13 +142,13 @@ func (g *Graph) NumEdges() int { return g.inner.NumEdges() }
 
 // Degree delegates with counting.
 func (g *Graph) Degree(v graph.VID, dir graph.Direction) int {
-	g.stats.Count(obsv.StoreDegree)
+	g.at(obsv.StoreDegree)
 	return g.inner.Degree(v, dir)
 }
 
 // Neighbors delegates with counting.
 func (g *Graph) Neighbors(v graph.VID, dir graph.Direction, yield func(graph.VID, graph.EID) bool) {
-	g.stats.Count(obsv.StoreNeighbors)
+	g.at(obsv.StoreNeighbors)
 	g.inner.Neighbors(v, dir, yield)
 }
 
@@ -135,7 +156,7 @@ func (g *Graph) Neighbors(v graph.VID, dir graph.Direction, yield func(graph.VID
 
 // AdjSlice delegates with counting.
 func (g *Graph) AdjSlice(v graph.VID, dir graph.Direction) []grin.Target {
-	g.stats.Count(obsv.StoreAdjSlice)
+	g.at(obsv.StoreAdjSlice)
 	return g.adj.AdjSlice(v, dir)
 }
 
@@ -149,7 +170,7 @@ func (g *Graph) VertexLabel(v graph.VID) graph.LabelID { return g.props.VertexLa
 
 // VertexProp delegates with counting.
 func (g *Graph) VertexProp(v graph.VID, p graph.PropID) (graph.Value, bool) {
-	g.stats.Count(obsv.StoreVertexProp)
+	g.at(obsv.StoreVertexProp)
 	return g.props.VertexProp(v, p)
 }
 
@@ -158,7 +179,7 @@ func (g *Graph) EdgeLabel(e graph.EID) graph.LabelID { return g.props.EdgeLabel(
 
 // EdgeProp delegates with counting.
 func (g *Graph) EdgeProp(e graph.EID, p graph.PropID) (graph.Value, bool) {
-	g.stats.Count(obsv.StoreEdgeProp)
+	g.at(obsv.StoreEdgeProp)
 	return g.props.EdgeProp(e, p)
 }
 
@@ -166,7 +187,7 @@ func (g *Graph) EdgeProp(e graph.EID, p graph.PropID) (graph.Value, bool) {
 
 // EdgeWeight delegates with counting.
 func (g *Graph) EdgeWeight(e graph.EID) float64 {
-	g.stats.Count(obsv.StoreEdgeWeight)
+	g.at(obsv.StoreEdgeWeight)
 	return g.wts.EdgeWeight(e)
 }
 
@@ -174,7 +195,7 @@ func (g *Graph) EdgeWeight(e graph.EID) float64 {
 
 // LookupVertex delegates with counting.
 func (g *Graph) LookupVertex(label graph.LabelID, extID int64) (graph.VID, bool) {
-	g.stats.Count(obsv.StoreLookupVertex)
+	g.at(obsv.StoreLookupVertex)
 	return g.idx.LookupVertex(label, extID)
 }
 
@@ -183,7 +204,7 @@ func (g *Graph) ExternalID(v graph.VID) int64 { return g.idx.ExternalID(v) }
 
 // LabelRange delegates with counting.
 func (g *Graph) LabelRange(label graph.LabelID) (lo, hi graph.VID, ok bool) {
-	g.stats.Count(obsv.StoreLabelRange)
+	g.at(obsv.StoreLabelRange)
 	return g.idx.LabelRange(label)
 }
 
@@ -191,7 +212,7 @@ func (g *Graph) LabelRange(label graph.LabelID) (lo, hi graph.VID, ok bool) {
 
 // ScanVertices delegates with counting.
 func (g *Graph) ScanVertices(label graph.LabelID, pred func(graph.VID) bool, yield func(graph.VID) bool) {
-	g.stats.Count(obsv.StoreScanVertices)
+	g.at(obsv.StoreScanVertices)
 	g.pred.ScanVertices(label, pred, yield)
 }
 
@@ -214,11 +235,12 @@ func (g *Graph) GlobalID(v graph.VID) graph.VID { return g.part.GlobalID(v) }
 // ReadVersion delegates.
 func (g *Graph) ReadVersion() uint64 { return g.vers.ReadVersion() }
 
-// Snapshot meters the snapshot too, sharing this wrapper's counter sink:
-// the calls a query makes against its pinned view land in the same profile.
+// Snapshot wraps the snapshot too, sharing this wrapper's counter sink and
+// hook: the calls a query makes against its pinned view land in the same
+// profile, and a fault schedule keeps firing on the view it actually reads.
 func (g *Graph) Snapshot(version uint64) grin.Graph {
 	snap := g.vers.Snapshot(version)
-	ng := &Graph{inner: snap, stats: g.stats}
+	ng := &Graph{inner: snap, stats: g.stats, name: g.name, hook: g.hook}
 	ng.bind(snap)
 	return ng
 }
@@ -227,36 +249,63 @@ func (g *Graph) Snapshot(version uint64) grin.Graph {
 
 // ExpandBatch delegates with counting.
 func (g *Graph) ExpandBatch(frontier []graph.VID, dir graph.Direction, out *grin.AdjBatch) {
-	g.stats.Count(obsv.StoreExpandBatch)
+	g.at(obsv.StoreExpandBatch)
 	g.badj.ExpandBatch(frontier, dir, out)
 }
 
 // GatherVertexProp delegates with counting.
 func (g *Graph) GatherVertexProp(vs []graph.VID, prop string, out []graph.Value) {
-	g.stats.Count(obsv.StoreGatherVProp)
+	g.at(obsv.StoreGatherVProp)
 	g.bprop.GatherVertexProp(vs, prop, out)
 }
 
 // GatherEdgeProp delegates with counting.
 func (g *Graph) GatherEdgeProp(es []graph.EID, prop string, out []graph.Value) {
-	g.stats.Count(obsv.StoreGatherEProp)
+	g.at(obsv.StoreGatherEProp)
 	g.bprop.GatherEdgeProp(es, prop, out)
+}
+
+// GatherVertexPropCol delegates the typed-column gather, counted under the
+// GatherVertexProp site. Without the inner trait it returns false, leaves
+// dst untouched and counts nothing, so the caller's boxed fallback is the
+// only call the profile sees.
+func (g *Graph) GatherVertexPropCol(vs []graph.VID, prop string, dst *column.Column) bool {
+	if g.bcol == nil {
+		return false
+	}
+	g.at(obsv.StoreGatherVProp)
+	return g.bcol.GatherVertexPropCol(vs, prop, dst)
+}
+
+// GatherEdgePropCol is GatherVertexPropCol for edge columns, counted under
+// the GatherEdgeProp site.
+func (g *Graph) GatherEdgePropCol(es []graph.EID, prop string, dst *column.Column) bool {
+	if g.bcol == nil {
+		return false
+	}
+	g.at(obsv.StoreGatherEProp)
+	return g.bcol.GatherEdgePropCol(es, prop, dst)
 }
 
 // GatherVertexLabels delegates with counting.
 func (g *Graph) GatherVertexLabels(vs []graph.VID, out []graph.LabelID) {
-	g.stats.Count(obsv.StoreGatherVLabels)
+	g.at(obsv.StoreGatherVLabels)
 	g.bprop.GatherVertexLabels(vs, out)
 }
 
 // GatherEdgeLabels delegates with counting.
 func (g *Graph) GatherEdgeLabels(es []graph.EID, out []graph.LabelID) {
-	g.stats.Count(obsv.StoreGatherELabels)
+	g.at(obsv.StoreGatherELabels)
 	g.bprop.GatherEdgeLabels(es, out)
 }
 
-// ScanBatch delegates with counting.
+// ScanBatch delegates with counting. A hook-requested short read halves the
+// caller's buffer — legal under the trait contract (fill *up to* len(buf),
+// return a resume cursor), so a correct runtime streams the same vertex
+// sequence in more, smaller chunks.
 func (g *Graph) ScanBatch(label graph.LabelID, start graph.VID, buf []graph.VID) (int, graph.VID) {
-	g.stats.Count(obsv.StoreScanBatch)
+	if g.at(obsv.StoreScanBatch) && len(buf) > 1 {
+		buf = buf[:(len(buf)+1)/2]
+	}
 	return g.bscan.ScanBatch(label, start, buf)
 }

@@ -1,12 +1,15 @@
 package meter
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/grin"
 	"repro/internal/query/obsv"
+	"repro/internal/storage/column"
+	"repro/internal/storage/gart"
 	"repro/internal/storage/livegraph"
 	"repro/internal/storage/vineyard"
 )
@@ -21,64 +24,190 @@ func loadVineyard(t *testing.T) grin.Graph {
 	return st
 }
 
-// TestTraitMaskingHonest pins the capability contract: the wrapper's Go
-// method set covers every trait, but grin.Has must report exactly the inner
-// store's capabilities — on a full-trait backend and on a topology-only one.
-func TestTraitMaskingHonest(t *testing.T) {
-	lg := livegraph.NewStore(8)
-	if err := lg.AddEdge(0, 1, 1); err != nil {
+// loadStores builds the same SNB batch into a full-trait backend with the
+// typed-column gather (vineyard), one with every batch trait but no typed
+// gather (gart), and a topology-only one (livegraph).
+func loadStores(t *testing.T) map[string]grin.Graph {
+	t.Helper()
+	b := dataset.SNB(dataset.SNBOptions{Persons: 40, Seed: 3})
+	vy, err := vineyard.Load(b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for name, inner := range map[string]grin.Graph{"vineyard": loadVineyard(t), "livegraph": lg} {
-		mg := Wrap(inner, nil)
-		for _, tr := range grin.Traits(inner) {
-			if !grin.Has(mg, tr) {
-				t.Errorf("%s: wrapper hides trait %v the inner store has", name, tr)
+	gs := gart.NewStore(dataset.SNBSchema(), 0)
+	if err := gs.LoadBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	lg, err := livegraph.LoadBatch(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]grin.Graph{"vineyard": vy, "gart": gs.Latest(), "livegraph": lg}
+}
+
+// siteCalls drives one call per counted site through the grin accessors; a
+// call runs only when its trait is available, and returns a printable
+// result so the wrapper's answer can be checked against the inner store's.
+var siteCalls = []struct {
+	site  obsv.StoreSite
+	trait grin.Trait
+	call  func(g grin.Graph) any
+}{
+	{obsv.StoreDegree, grin.TraitTopology, func(g grin.Graph) any { return g.Degree(0, graph.Out) }},
+	{obsv.StoreNeighbors, grin.TraitTopology, func(g grin.Graph) any {
+		var vs []graph.VID
+		g.Neighbors(0, graph.Out, func(v graph.VID, _ graph.EID) bool { vs = append(vs, v); return true })
+		return vs
+	}},
+	{obsv.StoreAdjSlice, grin.TraitAdjArray, func(g grin.Graph) any {
+		a, _ := grin.AsAdjArray(g)
+		return a.AdjSlice(0, graph.Out)
+	}},
+	{obsv.StoreVertexProp, grin.TraitProperty, func(g grin.Graph) any {
+		p, _ := grin.AsPropertyReader(g)
+		v, ok := p.VertexProp(0, 0)
+		return fmt.Sprint(v, ok)
+	}},
+	{obsv.StoreEdgeProp, grin.TraitProperty, func(g grin.Graph) any {
+		p, _ := grin.AsPropertyReader(g)
+		v, ok := p.EdgeProp(0, 0)
+		return fmt.Sprint(v, ok)
+	}},
+	{obsv.StoreEdgeWeight, grin.TraitWeight, func(g grin.Graph) any {
+		w, _ := grin.AsWeightReader(g)
+		return w.EdgeWeight(0)
+	}},
+	{obsv.StoreLookupVertex, grin.TraitIndex, func(g grin.Graph) any {
+		ix, _ := grin.AsIndex(g)
+		v, ok := ix.LookupVertex(0, ix.ExternalID(1))
+		return fmt.Sprint(v, ok)
+	}},
+	{obsv.StoreLabelRange, grin.TraitIndex, func(g grin.Graph) any {
+		ix, _ := grin.AsIndex(g)
+		lo, hi, ok := ix.LabelRange(0)
+		return fmt.Sprint(lo, hi, ok)
+	}},
+	{obsv.StoreScanVertices, grin.TraitPredicate, func(g grin.Graph) any {
+		p, _ := grin.AsPredicatePush(g)
+		var vs []graph.VID
+		p.ScanVertices(0, func(v graph.VID) bool { return v%2 == 0 }, func(v graph.VID) bool { vs = append(vs, v); return true })
+		return vs
+	}},
+	{obsv.StoreExpandBatch, grin.TraitBatchAdjacency, func(g grin.Graph) any {
+		b, _ := grin.AsBatchAdjacency(g)
+		var out grin.AdjBatch
+		b.ExpandBatch([]graph.VID{0, 1}, graph.Out, &out)
+		return fmt.Sprint(out)
+	}},
+	{obsv.StoreGatherVProp, grin.TraitBatchProps, func(g grin.Graph) any {
+		b, _ := grin.AsBatchProps(g)
+		out := make([]graph.Value, 3)
+		b.GatherVertexProp([]graph.VID{0, 1, 2}, "creationDate", out)
+		return fmt.Sprint(out)
+	}},
+	{obsv.StoreGatherEProp, grin.TraitBatchProps, func(g grin.Graph) any {
+		b, _ := grin.AsBatchProps(g)
+		out := make([]graph.Value, 3)
+		b.GatherEdgeProp([]graph.EID{0, 1, 2}, "creationDate", out)
+		return fmt.Sprint(out)
+	}},
+	{obsv.StoreGatherVLabels, grin.TraitBatchProps, func(g grin.Graph) any {
+		b, _ := grin.AsBatchProps(g)
+		out := make([]graph.LabelID, 3)
+		b.GatherVertexLabels([]graph.VID{0, 1, 2}, out)
+		return out
+	}},
+	{obsv.StoreGatherELabels, grin.TraitBatchProps, func(g grin.Graph) any {
+		b, _ := grin.AsBatchProps(g)
+		out := make([]graph.LabelID, 3)
+		b.GatherEdgeLabels([]graph.EID{0, 1, 2}, out)
+		return out
+	}},
+	{obsv.StoreScanBatch, grin.TraitBatchScan, func(g grin.Graph) any {
+		b, _ := grin.AsBatchScan(g)
+		buf := make([]graph.VID, 4)
+		n, next := b.ScanBatch(0, 0, buf)
+		return fmt.Sprint(buf[:n], next)
+	}},
+}
+
+// TestTraitMaskingHonest pins the interposer's contract on a full-trait
+// backend, one without the typed-column gather and a topology-only one: the
+// wrapper's Go method set covers every trait, but grin.Has reports exactly
+// the inner store's capabilities; every counted site delegates to the inner
+// store's answer and lands one call on its own counter; uncounted metadata
+// calls stay out of the profile; and the typed gather is kept where the
+// inner store has it and declined without a count where it does not.
+func TestTraitMaskingHonest(t *testing.T) {
+	if got := len(siteCalls); got != int(obsv.NumStoreSites) {
+		t.Fatalf("siteCalls covers %d sites, want all %d", got, obsv.NumStoreSites)
+	}
+	for name, inner := range loadStores(t) {
+		stats := &obsv.StoreStats{}
+		mg := Wrap(inner, stats)
+		for tr := grin.Trait(0); int(tr) < 16; tr++ {
+			if got, want := grin.Has(mg, tr), grin.Has(inner, tr); got != want {
+				t.Errorf("%s: wrapper Has(%v) = %v, inner = %v", name, tr, got, want)
 			}
 		}
-		for tr := grin.Trait(0); int(tr) < 16; tr++ {
-			if grin.Has(mg, tr) && !grin.Has(inner, tr) {
-				t.Errorf("%s: wrapper advertises trait %v the inner store lacks", name, tr)
+		if _, ok := grin.AsPropertyReader(mg); ok != grin.Has(inner, grin.TraitProperty) {
+			t.Errorf("%s: AsPropertyReader = %v, want the inner capability", name, ok)
+		}
+
+		mg.NumVertices()
+		mg.NumEdges()
+		want := [obsv.NumStoreSites]int64{}
+		for _, sc := range siteCalls {
+			if !grin.Has(inner, sc.trait) {
+				continue
 			}
+			got, ref := fmt.Sprint(sc.call(mg)), fmt.Sprint(sc.call(inner))
+			if got != ref {
+				t.Errorf("%s/%v: wrapper returned %s, inner %s", name, sc.site, got, ref)
+			}
+			want[sc.site]++
+		}
+
+		// The typed-column gather rides on BatchProps: kept and counted
+		// under GatherVertexProp/GatherEdgeProp when the inner store has it,
+		// declined with dst untouched and no count when it does not.
+		_, innerCol := grin.AsBatchPropsCol(inner)
+		vcol, ecol := column.New(graph.KindInt), column.New(graph.KindInt)
+		vok := grin.GatherVertexPropCol(mg, []graph.VID{0, 1, 2}, "creationDate", vcol)
+		eok := grin.GatherEdgePropCol(mg, []graph.EID{0, 1, 2}, "creationDate", ecol)
+		if vok != innerCol || eok != innerCol {
+			t.Errorf("%s: typed gathers = %v/%v, want the inner capability %v", name, vok, eok, innerCol)
+		}
+		if innerCol {
+			want[obsv.StoreGatherVProp]++
+			want[obsv.StoreGatherEProp]++
+			ref := column.New(graph.KindInt)
+			grin.GatherVertexPropCol(inner, []graph.VID{0, 1, 2}, "creationDate", ref)
+			if got, want := renderCol(vcol), renderCol(ref); got != want {
+				t.Errorf("%s: typed gather = %s, inner %s", name, got, want)
+			}
+		} else if vcol.Len() != 0 || ecol.Len() != 0 {
+			t.Errorf("%s: declined typed gather touched dst (%d/%d rows)", name, vcol.Len(), ecol.Len())
+		}
+
+		for site := obsv.StoreSite(0); site < obsv.NumStoreSites; site++ {
+			if got := stats.Calls(site); got != want[site] {
+				t.Errorf("%s: site %v counted %d calls, want %d", name, site, got, want[site])
+			}
+		}
+		if got, want := mg.BackendName(), "meter("+inner.(grin.Named).BackendName()+")"; got != want {
+			t.Errorf("BackendName = %q, want %q", got, want)
 		}
 	}
 }
 
-// TestSiteCounting pins that each delegated call lands on its chaos-aligned
-// site counter, and that uncounted metadata calls (NumVertices, Schema) stay
-// out of the profile.
-func TestSiteCounting(t *testing.T) {
-	st := loadVineyard(t)
-	stats := &obsv.StoreStats{}
-	mg := Wrap(st, stats)
-
-	mg.NumVertices()
-	mg.Degree(0, graph.Out)
-	mg.Degree(0, graph.In)
-	mg.Neighbors(0, graph.Out, func(graph.VID, graph.EID) bool { return true })
-	mg.AdjSlice(0, graph.Out)
-	mg.VertexProp(0, 0)
-	var out grin.AdjBatch
-	mg.ExpandBatch([]graph.VID{0}, graph.Out, &out)
-	buf := make([]graph.VID, 4)
-	mg.ScanBatch(0, 0, buf)
-
-	want := map[obsv.StoreSite]int64{
-		obsv.StoreDegree:      2,
-		obsv.StoreNeighbors:   1,
-		obsv.StoreAdjSlice:    1,
-		obsv.StoreVertexProp:  1,
-		obsv.StoreExpandBatch: 1,
-		obsv.StoreScanBatch:   1,
+func renderCol(c *column.Column) string {
+	rows := make([]string, c.Len())
+	for i := range rows {
+		v, ok := c.Get(i)
+		rows[i] = fmt.Sprint(v, ok)
 	}
-	for site := obsv.StoreSite(0); site < obsv.NumStoreSites; site++ {
-		if got := stats.Calls(site); got != want[site] {
-			t.Errorf("site %v: %d calls, want %d", site, got, want[site])
-		}
-	}
-	if got := mg.BackendName(); got != "meter(vineyard)" {
-		t.Errorf("BackendName = %q", got)
-	}
+	return fmt.Sprint(rows)
 }
 
 // TestNativeFlags pins the native/fallback regime recorded at wrap time: a
