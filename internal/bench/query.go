@@ -178,32 +178,41 @@ func Fig7f() (*Table, error) {
 		}
 		tab.Rows = append(tab.Rows, []string{u.Name, ms(d), "-", "-"})
 	}
-	// Throughput: concurrent mixed reads.
-	thpt := func(call func(q procedures.Query, params map[string]graph.Value)) float64 {
+	// Throughput: concurrent mixed reads. A failing query fails the
+	// experiment rather than counting as throughput.
+	thpt := func(call func(q procedures.Query, params map[string]graph.Value) error) (float64, error) {
 		total := scaled(400, 48)
-		var wg sync.WaitGroup
 		start := time.Now()
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rr := rand.New(rand.NewSource(int64(100 + w)))
-				for i := 0; i < total/8; i++ {
-					q := queries[rr.Intn(len(queries))]
-					call(q, q.Params(rr, sc))
+		err := concurrently(8, func(w int) error {
+			rr := rand.New(rand.NewSource(int64(100 + w)))
+			for i := 0; i < total/8; i++ {
+				q := queries[rr.Intn(len(queries))]
+				if err := call(q, q.Params(rr, sc)); err != nil {
+					return fmt.Errorf("%s: %w", q.Name, err)
 				}
-			}(w)
-		}
-		wg.Wait()
-		return float64(total) / time.Since(start).Seconds()
+			}
+			return nil
+		})
+		return float64(total) / time.Since(start).Seconds(), err
 	}
-	flexQPS := thpt(func(q procedures.Query, params map[string]graph.Value) {
-		_, _ = he.Call(benchCtx, q.Name, params)
+	flexQPS, err := thpt(func(q procedures.Query, params map[string]graph.Value) error {
+		_, err := he.Call(benchCtx, q.Name, params)
+		return err
 	})
-	baseQPS := thpt(func(q procedures.Query, params map[string]graph.Value) {
-		plan, _ := cypher.Parse(q.Cypher, schema)
-		_, _, _ = naive.Run(benchCtx, plan, gs.Latest(), params)
+	if err != nil {
+		return nil, err
+	}
+	baseQPS, err := thpt(func(q procedures.Query, params map[string]graph.Value) error {
+		plan, err := cypher.Parse(q.Cypher, schema)
+		if err != nil {
+			return err
+		}
+		_, _, err = naive.Run(benchCtx, plan, gs.Latest(), params)
+		return err
 	})
+	if err != nil {
+		return nil, err
+	}
 	tab.Notes = append(tab.Notes,
 		fmt.Sprintf("throughput: Flex %.0f ops/s vs baseline %.0f ops/s (%.2fx); paper: 2.45x, avg latency 8.92x", flexQPS, baseQPS, flexQPS/baseQPS),
 		fmt.Sprintf("total latency: Flex %s vs baseline %s (%s)", flexTotal, baseTotal, speedup(baseTotal, flexTotal)))
@@ -298,23 +307,46 @@ RETURN id(v)`
 			return nil, err
 		}
 		n := scaled(800, 80)
-		var wg sync.WaitGroup
 		start := time.Now()
-		for w := 0; w < threads; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < n; i += threads {
-					o := orders[i%len(orders)]
-					_, _ = he.Call(benchCtx, "detect", map[string]graph.Value{"acct": graph.IntValue(o.Account)})
+		err := concurrently(threads, func(w int) error {
+			for i := w; i < n; i += threads {
+				o := orders[i%len(orders)]
+				if _, err := he.Call(benchCtx, "detect", map[string]graph.Value{"acct": graph.IntValue(o.Account)}); err != nil {
+					return fmt.Errorf("detect(acct=%d): %w", o.Account, err)
 				}
-			}(w)
-		}
-		wg.Wait()
+			}
+			return nil
+		})
 		qps := float64(n) / time.Since(start).Seconds()
 		he.Close()
+		if err != nil {
+			return nil, err
+		}
 		tab.Rows = append(tab.Rows, []string{fmt.Sprintf("%d", threads), fmt.Sprintf("%.0f", qps)})
 	}
 	tab.Notes = append(tab.Notes, "paper: 98,907 → 355,813 qps from 10 → 40 threads (near-linear)")
 	return tab, nil
+}
+
+// concurrently runs work(0..workers-1) on one goroutine each and returns the
+// error of the lowest-numbered worker that failed, so a benchmark loop that
+// hits a query error fails its experiment instead of counting the failed
+// call as throughput.
+func concurrently(workers int, work func(w int) error) error {
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = work(w)
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

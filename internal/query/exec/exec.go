@@ -342,7 +342,7 @@ func (c *Compiled) compileOp(op *ir.Op, first bool, opt Options) error {
 			InWidth: width, OutWidth: width,
 			OutKinds: c.kindsSnapshot(),
 			Filter: func(env *Env, b *Batch) error {
-				return fp.run(env, b, 0, sid)
+				return fp.run(env, b, 0, sid, prePass{})
 			},
 		})
 		return nil
@@ -674,6 +674,7 @@ func (c *Compiled) compileExpandFused(op *ir.Op) error {
 		return err
 	}
 	fp := c.compileFilter(predB)
+	fp.markPre(vIdx, eIdx)
 
 	sid := len(c.Stages)
 	c.Stages = append(c.Stages, Stage{
@@ -683,8 +684,10 @@ func (c *Compiled) compileExpandFused(op *ir.Op) error {
 		Map: func(env *Env, in, out *Batch) error {
 			// Batched expansion: the whole frontier crosses the storage
 			// boundary in one ExpandBatch call, label filters gather their
-			// columns in one call each, survivors materialize column-at-a-
-			// time, and the pushed predicate (if any) runs as a fused filter
+			// columns in one call each, the pushed predicate's leading
+			// kernel steps on the new vertex/edge drop adjacency slots
+			// before anything is copied, survivors materialize column-at-a-
+			// time, and the rest of the predicate runs as a fused filter
 			// pass over the freshly emitted rows.
 			pr, _ := grin.AsPropertyReader(env.Graph)
 			s := expandPool.Get().(*expandScratch)
@@ -722,9 +725,13 @@ func (c *Compiled) compileExpandFused(op *ir.Op) error {
 			if len(s.ts) == 0 {
 				return nil
 			}
+			pass, err := fp.runPre(env, out, vIdx, s, sid)
+			if err != nil || len(s.ts) == 0 {
+				return err
+			}
 			base := out.rows
 			emitExpanded(out, in, s.srcRows, s.ts, &s.adj, vIdx, eIdx)
-			return fp.run(env, out, base, sid)
+			return fp.run(env, out, base, sid, pass)
 		},
 	})
 	return nil
@@ -849,7 +856,7 @@ func (c *Compiled) compileGetVertex(op *ir.Op) error {
 				vcol.appendVertex(n)
 			}
 			out.rows += len(s.srcRows)
-			return fp.run(env, out, base, sid)
+			return fp.run(env, out, base, sid, prePass{})
 		},
 	})
 	return nil

@@ -10,24 +10,38 @@ import (
 )
 
 // filterProgram is a compiled predicate in fused-filter form: a prefix of
-// kernelizable conjuncts (each a column-vs-constant comparison whose column
-// kind is known, run as a monomorphic selection kernel over the typed
-// payload) followed by the boxed residual for everything else. The split is a
-// strict prefix of the AND chain so the set of (row, conjunct) evaluations —
-// and with it the first error and every store call — is exactly what the
-// short-circuiting row-at-a-time evaluator performs; only the iteration order
-// within a batch changes.
+// kernelizable conjuncts followed by the boxed residual for everything else.
+// Each kernel step is a comparison against a constant whose input kind is
+// known at compile time, run as a monomorphic selection kernel over a typed
+// payload: the column itself, one property gathered from the column's
+// vertex or edge elements, or id() of those elements (external vertex IDs
+// from the store's Index trait, internal IDs without it — the values the
+// boxed id() yields). The split is a strict prefix of the AND chain so the
+// set of (row, conjunct) evaluations — and with it the first error and every
+// store call — is exactly what the short-circuiting row-at-a-time evaluator
+// performs; only the iteration order within a batch changes.
+//
+// In a fused expansion the leading pre steps (element steps on the vertex
+// or edge the expansion produces) can run before any row is materialized:
+// runPre evaluates them over the adjacency arena and drops the rejected
+// slots, and run picks up the remaining steps and the residual on the
+// emitted rows.
 type filterProgram struct {
 	steps    []filterStep
 	residual *expr.Bound
+	pre      int // leading steps runPre may evaluate (set by the expansion)
 }
 
 type filterStep struct {
 	leaf     expr.SelLeaf
 	conj     *expr.Bound // the whole conjunct, for the boxed per-row fallback
-	colKind  graph.Kind  // kind of the kernel input (the column, or its gathered property)
-	elemKind graph.Kind  // KindVertex/KindEdge when leaf.Prop != ""
+	colKind  graph.Kind  // kind of the kernel input (the column, its gathered property, or id())
+	elemKind graph.Kind  // KindVertex/KindEdge for element steps (leaf.Prop != "" or leaf.ID)
 }
+
+// elemStep reports whether the step reads a property or id() of the
+// column's elements rather than the column's own value.
+func (st *filterStep) elemStep() bool { return st.leaf.ID || st.leaf.Prop != "" }
 
 // compileFilter splits a bound predicate into kernel steps and residual.
 // Compilation never fails — a conjunct that does not kernelize (unknown
@@ -48,21 +62,8 @@ func (c *Compiled) compileFilter(pred *expr.Bound) *filterProgram {
 			break
 		}
 		st := filterStep{leaf: leaf, conj: conjs[i]}
-		if leaf.Prop == "" {
-			st.colKind = c.kinds[leaf.Col]
-			if st.colKind == graph.KindNil {
-				break
-			}
-		} else {
-			st.elemKind = c.kinds[leaf.Col]
-			if st.elemKind != graph.KindVertex && st.elemKind != graph.KindEdge {
-				break
-			}
-			pk, ok := c.propKind(st.elemKind, c.labels[leaf.Col], leaf.Prop)
-			if !ok {
-				break
-			}
-			st.colKind = pk
+		if st.colKind, st.elemKind = c.stepKinds(leaf); st.colKind == graph.KindNil {
+			break
 		}
 		if lit, isLit := leaf.LitArg(); isLit {
 			if _, ok := expr.CompileSelKernel(st.colKind, leaf.Op, lit); !ok {
@@ -73,6 +74,43 @@ func (c *Compiled) compileFilter(pred *expr.Bound) *filterProgram {
 	}
 	fp.residual = expr.AndChain(conjs[i:])
 	return fp
+}
+
+// stepKinds resolves a leaf's kernel input kind and, for element steps, the
+// element kind. colKind is KindNil when the leaf cannot take a kernel: the
+// column's kind is unknown, or an element step's column holds no vertices or
+// edges, or the property's kind is not fixed.
+func (c *Compiled) stepKinds(leaf expr.SelLeaf) (colKind, elemKind graph.Kind) {
+	k := c.kinds[leaf.Col]
+	if !leaf.ID && leaf.Prop == "" {
+		return k, graph.KindNil
+	}
+	if k != graph.KindVertex && k != graph.KindEdge {
+		return graph.KindNil, graph.KindNil
+	}
+	if leaf.ID {
+		return graph.KindInt, k
+	}
+	pk, ok := c.propKind(k, c.labels[leaf.Col], leaf.Prop)
+	if !ok {
+		return graph.KindNil, graph.KindNil
+	}
+	return pk, k
+}
+
+// markPre counts the program's leading element steps on the given columns
+// (an expansion's new vertex and edge columns; -1 for none) as pre steps.
+func (fp *filterProgram) markPre(vIdx, eIdx int) {
+	if fp == nil {
+		return
+	}
+	for fp.pre < len(fp.steps) {
+		st := &fp.steps[fp.pre]
+		if !st.elemStep() || (st.leaf.Col != vIdx && st.leaf.Col != eIdx) {
+			return
+		}
+		fp.pre++
+	}
 }
 
 // filterScratch holds the per-pass gather buffers; pooled because stage
@@ -114,7 +152,10 @@ func putFilter(s *filterScratch) {
 // that stage. The counters depend only on batch content, and the morsel
 // partition is driver-independent, so they merge to identical totals at any
 // parallelism.
-func (fp *filterProgram) run(env *Env, b *Batch, base int, sid int) error {
+//
+// pre resumes after runPre (the zero value when there was none): steps [0,
+// pre.done) were already applied to the rows being filtered.
+func (fp *filterProgram) run(env *Env, b *Batch, base int, sid int, pre prePass) error {
 	if fp == nil {
 		return nil
 	}
@@ -228,59 +269,55 @@ func (fp *filterProgram) run(env *Env, b *Batch, base int, sid int) error {
 		} else {
 			obsCand = b.Len()
 		}
+		obsCand += pre.rejected
 	}
 
-	for _, st := range fp.steps {
+	for i := pre.done; i < len(fp.steps); i++ {
+		st := &fp.steps[i]
 		// An empty candidate list short-circuits the rest of the chain —
 		// including argument resolution, matching the row loop's
 		// no-rows-no-error behavior.
 		if cand != nil && len(cand) == 0 {
 			break
 		}
-		arg, err := st.leaf.ResolveArg(&benv)
-		if err != nil {
-			return err
-		}
 		handled := false
-		vec := &b.cols[st.leaf.Col]
-		if st.leaf.Prop == "" {
-			// Kernel straight over the batch column.
-			if t := vec.Typed(); t != nil {
-				if kern, ok := expr.CompileSelKernel(t.Kind(), st.leaf.Op, arg); ok {
-					sl := takeSlot()
-					commit(kern(t, cand, b.selArr[sl][:0]), sl)
-					handled = true
+		if !pre.fellBack || i != pre.done {
+			arg, err := st.leaf.ResolveArg(&benv)
+			if err != nil {
+				return err
+			}
+			vec := &b.cols[st.leaf.Col]
+			if !st.elemStep() {
+				// Kernel straight over the batch column.
+				if t := vec.Typed(); t != nil {
+					if kern, ok := expr.CompileSelKernel(t.Kind(), st.leaf.Op, arg); ok {
+						sl := takeSlot()
+						commit(kern(t, cand, b.selArr[sl][:0]), sl)
+						handled = true
+					}
 				}
-			}
-		} else if t := vec.Typed(); t != nil && t.Kind() == st.elemKind && !t.HasNulls() {
-			// Gather the candidates' property values into a typed scratch
-			// column (one trait call), then kernel densely over it and map
-			// the surviving ordinals back to physical rows.
-			ss := scratch()
-			m := len(cand)
-			if cand == nil {
-				m = b.rows
-			}
-			ss.col.Reset(st.colKind)
-			gathered := false
-			if st.elemKind == graph.KindVertex {
-				ss.vids = growVIDs(ss.vids, m)
+			} else if t := vec.Typed(); t != nil && t.Kind() == st.elemKind && !t.HasNulls() {
+				// Stage the candidates' element IDs, kernel densely over
+				// their gathered values, and map the surviving ordinals back
+				// to physical rows.
+				ss := scratch()
+				m := len(cand)
+				if cand == nil {
+					m = b.rows
+				}
 				ints := t.RawInts()
-				for j := 0; j < m; j++ {
-					ss.vids[j] = graph.VID(ints[candAt(int32(j))])
+				if st.elemKind == graph.KindVertex {
+					ss.vids = growVIDs(ss.vids, m)
+					for j := 0; j < m; j++ {
+						ss.vids[j] = graph.VID(ints[candAt(int32(j))])
+					}
+				} else {
+					ss.eids = growEIDs(ss.eids, m)
+					for j := 0; j < m; j++ {
+						ss.eids[j] = graph.EID(ints[candAt(int32(j))])
+					}
 				}
-				gathered = grin.GatherVertexPropCol(env.Graph, ss.vids, st.leaf.Prop, &ss.col)
-			} else {
-				ss.eids = growEIDs(ss.eids, m)
-				ints := t.RawInts()
-				for j := 0; j < m; j++ {
-					ss.eids[j] = graph.EID(ints[candAt(int32(j))])
-				}
-				gathered = grin.GatherEdgePropCol(env.Graph, ss.eids, st.leaf.Prop, &ss.col)
-			}
-			if gathered {
-				if kern, ok := expr.CompileSelKernel(st.colKind, st.leaf.Op, arg); ok {
-					ss.idx = kern(&ss.col, nil, ss.idx[:0])
+				if st.elemKernel(env, ss, arg, m) {
 					sl := takeSlot()
 					out := b.selArr[sl][:0]
 					for _, j := range ss.idx {
@@ -297,8 +334,8 @@ func (fp *filterProgram) run(env *Env, b *Batch, base int, sid int) error {
 		if !handled {
 			// Boxed fallback for just this conjunct: runtime conditions
 			// (demoted column, store without the columnar gather trait,
-			// parameter of an unexpected kind) keep correctness on the
-			// per-row evaluator.
+			// parameter of an unexpected kind, or a kernel attempt runPre
+			// already made) keep correctness on the per-row evaluator.
 			if err := perRow(st.conj); err != nil {
 				return err
 			}
@@ -335,4 +372,126 @@ func (fp *filterProgram) run(env *Env, b *Batch, base int, sid int) error {
 	b.sel = cand
 	b.selIdx = active
 	return nil
+}
+
+// prePass is what runPre hands on to run: how many leading steps it
+// applied, whether the next step already failed its kernel attempt (it then
+// finishes per row, so no store call repeats), and how many candidates it
+// rejected (FilterSel counts the whole pass).
+type prePass struct {
+	done     int
+	fellBack bool
+	rejected int
+}
+
+// elemKernel runs an element step over the m element IDs staged in
+// ss.vids (vertex steps) or ss.eids (edge steps), leaving the surviving
+// ordinals in ss.idx. id() steps fill an int scratch column exactly as the
+// boxed id() does: the Index trait's external ID of each vertex (its
+// internal ID when the store has none), the ID of each edge. Property steps
+// gather through the typed-column trait, with one store call. It reports
+// false when the step cannot take the kernel at run time (no typed gather,
+// a gather kind mismatch, an argument of the wrong kind).
+func (st *filterStep) elemKernel(env *Env, ss *filterScratch, arg graph.Value, m int) bool {
+	if st.leaf.ID {
+		kern, ok := expr.CompileSelKernel(graph.KindInt, st.leaf.Op, arg)
+		if !ok {
+			return false
+		}
+		ss.col.Reset(graph.KindInt)
+		switch idx, hasIdx := grin.AsIndex(env.Graph); {
+		case st.elemKind == graph.KindEdge:
+			for _, e := range ss.eids[:m] {
+				ss.col.AppendInt(int64(e))
+			}
+		case hasIdx:
+			for _, v := range ss.vids[:m] {
+				ss.col.AppendInt(idx.ExternalID(v))
+			}
+		default:
+			for _, v := range ss.vids[:m] {
+				ss.col.AppendInt(int64(v))
+			}
+		}
+		ss.idx = kern(&ss.col, nil, ss.idx[:0])
+		return true
+	}
+	ss.col.Reset(st.colKind)
+	var gathered bool
+	if st.elemKind == graph.KindVertex {
+		gathered = grin.GatherVertexPropCol(env.Graph, ss.vids[:m], st.leaf.Prop, &ss.col)
+	} else {
+		gathered = grin.GatherEdgePropCol(env.Graph, ss.eids[:m], st.leaf.Prop, &ss.col)
+	}
+	if !gathered {
+		return false
+	}
+	kern, ok := expr.CompileSelKernel(st.colKind, st.leaf.Op, arg)
+	if !ok {
+		return false
+	}
+	ss.idx = kern(&ss.col, nil, ss.idx[:0])
+	return true
+}
+
+// runPre evaluates the program's pre steps over a fused expansion's
+// candidate adjacency slots before any row is materialized, compacting
+// x.ts/x.srcRows to the survivors in place (their order is kept). Each step
+// stages the same element IDs, in the same order, that run would read from
+// the emitted column, so store calls, the first error and the per-stage
+// filter counters are unchanged. It stops at the first step that cannot
+// take the kernel at run time; run finishes that step per row on the
+// emitted rows. When no slot survives the whole pass is recorded here and
+// the caller emits nothing. out is the expansion's output batch: its column
+// layout tells whether run would see a typed, null-free element column.
+func (fp *filterProgram) runPre(env *Env, out *Batch, vIdx int, x *expandScratch, sid int) (prePass, error) {
+	var pass prePass
+	if fp == nil || fp.pre == 0 {
+		return pass, nil
+	}
+	total := len(x.ts)
+	benv := env.boundEnv()
+	ss := filterPool.Get().(*filterScratch)
+	defer putFilter(ss)
+	for i := 0; i < fp.pre && len(x.ts) > 0; i++ {
+		st := &fp.steps[i]
+		arg, err := st.leaf.ResolveArg(&benv)
+		if err != nil {
+			return pass, err
+		}
+		m := len(x.ts)
+		t := out.cols[st.leaf.Col].Typed()
+		ok := t != nil && t.Kind() == st.elemKind && !t.HasNulls()
+		if ok {
+			if st.leaf.Col == vIdx {
+				ss.vids = ss.vids[:0]
+				for _, s := range x.ts {
+					ss.vids = append(ss.vids, x.adj.Nbrs[s])
+				}
+			} else {
+				ss.eids = ss.eids[:0]
+				for _, s := range x.ts {
+					ss.eids = append(ss.eids, x.adj.Edges[s])
+				}
+			}
+			ok = st.elemKernel(env, ss, arg, m)
+		}
+		if !ok {
+			pass.fellBack = true
+			break
+		}
+		if env.Obs != nil {
+			env.Obs.FilterStep(sid, true)
+		}
+		for n, j := range ss.idx {
+			x.ts[n], x.srcRows[n] = x.ts[j], x.srcRows[j]
+		}
+		x.ts, x.srcRows = x.ts[:len(ss.idx)], x.srcRows[:len(ss.idx)]
+		pass.done = i + 1
+	}
+	pass.rejected = total - len(x.ts)
+	if len(x.ts) == 0 && env.Obs != nil {
+		env.Obs.FilterSel(sid, total, 0)
+	}
+	return pass, nil
 }

@@ -41,15 +41,36 @@ func AndChain(conjuncts []*Bound) *Bound {
 }
 
 // SelLeaf is a kernelizable predicate conjunct in normal form: column
-// (optionally through a property gather) OP constant argument. Leaves with a
-// literal-on-the-left source shape are mirrored into this form at detection
-// time (20 < x becomes x > 20 — Compare is antisymmetric, so mirroring is
-// exact, NULLs and NaNs included).
+// (optionally through a property gather or id()) OP constant argument.
+// Leaves with a literal-on-the-left source shape are mirrored into this form
+// at detection time (20 < x becomes x > 20 — Compare is antisymmetric, so
+// mirroring is exact, NULLs and NaNs included).
 type SelLeaf struct {
 	Col  int    // row column holding the element or value
 	Prop string // property to gather from the column's element ("" = the column itself)
-	Op   Op     // OpEq..OpGe or OpIn
-	Arg  *Bound // kindLiteral or kindParam argument
+	// ID marks an id(alias) leaf: the compared value is the int id() yields
+	// for the column's element — the store's external ID of a vertex (its
+	// internal ID when the store has no Index trait), the ID of an edge.
+	ID  bool
+	Op  Op     // OpEq..OpGe or OpIn
+	Arg *Bound // kindLiteral or kindParam argument
+}
+
+// selOperand reports whether the node is a kernelizable leaf operand: a
+// bound alias(.prop) reference, or id() of a bare alias.
+func selOperand(p *Bound) (SelLeaf, bool) {
+	if p == nil {
+		return SelLeaf{}, false
+	}
+	switch p.kind {
+	case KindVar:
+		return SelLeaf{Col: p.ref.Col, Prop: p.ref.Prop}, true
+	case KindCall:
+		if p.fn == "id" && len(p.args) == 1 && p.args[0].kind == KindVar && p.args[0].ref.Prop == "" {
+			return SelLeaf{Col: p.args[0].ref.Col, ID: true}, true
+		}
+	}
+	return SelLeaf{}, false
 }
 
 // mirrorOp swaps a comparison's sides: arg OP x == x mirrorOp(OP) arg.
@@ -77,7 +98,8 @@ func constArg(p *Bound) bool {
 }
 
 // SelLeaf reports whether the conjunct has the kernelizable
-// column-vs-constant shape, returning it in normal form. IN-lists qualify
+// column-vs-constant shape (the column possibly under id()), returning it in
+// normal form. IN-lists qualify
 // only with a constant list argument (all-literal lists fold to one literal
 // at bind time).
 func (p *Bound) SelLeaf() (SelLeaf, bool) {
@@ -90,17 +112,19 @@ func (p *Bound) SelLeaf() (SelLeaf, bool) {
 	default:
 		return SelLeaf{}, false
 	}
-	if p.left != nil && p.left.kind == KindVar && constArg(p.right) {
-		return SelLeaf{Col: p.left.ref.Col, Prop: p.left.ref.Prop, Op: op, Arg: p.right}, true
+	if l, ok := selOperand(p.left); ok && constArg(p.right) {
+		l.Op, l.Arg = op, p.right
+		return l, true
 	}
-	// Mirrored shape: constant OP var (IN cannot mirror — the list is the
-	// right operand by construction).
-	if op != OpIn && p.right != nil && p.right.kind == KindVar && constArg(p.left) {
+	// Mirrored shape: constant OP operand (IN cannot mirror — the list is
+	// the right operand by construction).
+	if l, ok := selOperand(p.right); ok && op != OpIn && constArg(p.left) {
 		m, ok := mirrorOp(op)
 		if !ok {
 			return SelLeaf{}, false
 		}
-		return SelLeaf{Col: p.right.ref.Col, Prop: p.right.ref.Prop, Op: m, Arg: p.left}, true
+		l.Op, l.Arg = m, p.left
+		return l, true
 	}
 	return SelLeaf{}, false
 }

@@ -9,6 +9,7 @@ package query_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -341,14 +342,25 @@ func TestSeededScheduleReproduces(t *testing.T) {
 	// construction, where the lifecycle contract (and its recover boundary)
 	// does not apply, so seeded schedules must not land there.
 	sites := []obsv.StoreSite{obsv.StoreExpandBatch}
+	// outcome reduces a run to what the seed decides: the injected fault's
+	// site, kind and call number (an error fault) or the panic value (a
+	// panic fault), or every result row on success. Which Gaia stage makes
+	// the faulting call depends on worker scheduling at parallelism 4, so
+	// the stage name that wraps the fault is left out.
 	outcome := func(seed int64) string {
 		opt := chaos.Plan(seed, sites, kinds, 8)
 		rows, err := runOn("gaia", chaos.Wrap(stores["vineyard"], opt), plan, 0, context.Background())
-		if err != nil {
+		var fault *chaos.Error
+		var pe *exec.PanicError
+		switch {
+		case errors.As(err, &fault):
+			return fmt.Sprintf("fault: %s %s call %d seed %d", fault.Kind, fault.Site, fault.N, fault.Seed)
+		case errors.As(err, &pe):
+			return fmt.Sprintf("panic: %v", pe.Value)
+		case err != nil:
 			return "error: " + err.Error()
 		}
-		out := renderRows(rows)
-		return "rows: " + out[len(out)-1]
+		return fmt.Sprintf("rows: %d %q", len(rows), renderRows(rows))
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		first := outcome(seed)

@@ -50,23 +50,24 @@ func (s StoreSite) Batch() bool { return s >= StoreExpandBatch }
 
 // StoreStats counts trait calls per site for one metered store. Counters are
 // a fixed array of atomics — no map, no lock — so batch-loop call sites cost
-// one atomic add. The native flags are written once at wrap time (before any
-// query runs) and record whether each batch site is served natively by the
-// inner backend or routed through grin's generic scalar fallbacks; together
-// with the counts they show which path a backend actually took.
+// one atomic add. The native flags are written at wrap time and record
+// whether each batch site is served natively by the inner backend or routed
+// through grin's generic scalar fallbacks; together with the counts they
+// show which path a backend actually took. The backend name and the flags
+// are atomics too: several wrappers over one store may share a sink and be
+// built concurrently (one per query or per actor), writing the same values.
 type StoreStats struct {
-	backend string
-	native  [NumStoreSites]bool
+	backend atomic.Pointer[string]
+	native  [NumStoreSites]atomic.Bool
 	calls   [NumStoreSites]atomic.Int64
 }
 
-// SetBackend records the metered backend's name (wrap time, single
-// goroutine).
-func (s *StoreStats) SetBackend(name string) { s.backend = name }
+// SetBackend records the metered backend's name (wrap time).
+func (s *StoreStats) SetBackend(name string) { s.backend.Store(&name) }
 
 // SetNative records whether the site's trait is natively provided by the
-// inner backend (wrap time, single goroutine).
-func (s *StoreStats) SetNative(site StoreSite, native bool) { s.native[site] = native }
+// inner backend (wrap time).
+func (s *StoreStats) SetNative(site StoreSite, native bool) { s.native[site].Store(native) }
 
 // Count records one call to the site and returns the site's call number
 // (its new count) — the number a fault schedule fires on.
@@ -97,9 +98,12 @@ type StoreSnapshot struct {
 
 // Snapshot dumps the counters.
 func (s *StoreStats) Snapshot() StoreSnapshot {
-	snap := StoreSnapshot{Backend: s.backend, Sites: make([]StoreSiteSnapshot, NumStoreSites)}
+	snap := StoreSnapshot{Sites: make([]StoreSiteSnapshot, NumStoreSites)}
+	if name := s.backend.Load(); name != nil {
+		snap.Backend = *name
+	}
 	for i := StoreSite(0); i < NumStoreSites; i++ {
-		snap.Sites[i] = StoreSiteSnapshot{Site: i.String(), Calls: s.calls[i].Load(), Native: s.native[i], Batch: i.Batch()}
+		snap.Sites[i] = StoreSiteSnapshot{Site: i.String(), Calls: s.calls[i].Load(), Native: s.native[i].Load(), Batch: i.Batch()}
 	}
 	return snap
 }

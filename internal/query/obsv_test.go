@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/graph"
 	"repro/internal/grin"
 	"repro/internal/query"
 	"repro/internal/query/cypher"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/query/ir"
 	"repro/internal/query/naive"
 	"repro/internal/query/obsv"
+	"repro/internal/storage/column"
 	"repro/internal/storage/meter"
 	"repro/internal/storage/vineyard"
 )
@@ -49,71 +51,81 @@ func newObserved(st grin.Graph, metered bool) (*obsv.QueryStats, grin.Graph) {
 // store. The leak check pins that observed runs also unwind clean.
 func TestObservedParityMatrix(t *testing.T) {
 	defer query.CheckLeaks(t)()
-	schema := dataset.SNBSchema()
-	const bs = 16
 	for name, st := range snbBackends(t) {
 		t.Run(name, func(t *testing.T) {
-			for _, tc := range snbParityCases {
-				t.Run(tc.name, func(t *testing.T) {
-					var plan *ir.Plan
-					var err error
-					if tc.lang == "gremlin" {
-						plan, err = gremlin.Parse(tc.q, schema)
-					} else {
-						plan, err = cypher.Parse(tc.q, schema)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					// check runs one engine unobserved, observed over the
-					// bare store, and observed over a metered view.
-					check := func(label string, run func(g grin.Graph, obs *obsv.QueryStats) ([]exec.Row, error)) {
-						t.Helper()
-						want, err := run(st, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						bare, bst := newObserved(st, false)
-						if _, err := run(bst, bare); err != nil {
-							t.Fatal(err)
-						}
-						obs, mst := newObserved(st, true)
-						got, err := run(mst, obs)
-						if err != nil {
-							t.Fatal(err)
-						}
-						mustExactEqual(t, label+" observed", renderRows(got), renderRows(want))
-						assertCollected(t, obs, len(got))
-						// A LIMIT short-circuit's rows-in depend on worker
-						// scheduling even at parallelism 1, metered or not.
-						if tc.name == "limit-short-circuit" {
-							return
-						}
-						if m, b := obs.Deterministic(), bare.Deterministic(); !reflect.DeepEqual(m, b) {
-							t.Errorf("%s: metering changed the run\nmetered: %+v\nbare:    %+v", label, m, b)
-						}
-					}
+			runObservedMatrix(t, st, dataset.SNBSchema(), snbParityCases)
+		})
+	}
+	for name, st := range idBackends(t) {
+		t.Run("ids-"+name, func(t *testing.T) {
+			runObservedMatrix(t, st, idSchema(), idParityCases)
+		})
+	}
+}
 
-					check("naive", func(g grin.Graph, obs *obsv.QueryStats) ([]exec.Row, error) {
-						rows, _, err := naive.RunWith(context.Background(), plan, g, tc.params, naive.Options{BatchSize: bs, Obs: obs})
-						return rows, err
-					})
-					// gaia at serial and full parallelism.
-					for _, par := range []int{1, runtime.NumCPU()} {
-						check(fmt.Sprintf("gaia par=%d", par), func(g grin.Graph, obs *obsv.QueryStats) ([]exec.Row, error) {
-							rows, _, err := gaia.NewEngine(g, gaia.Options{Parallelism: par, BatchSize: bs}).SubmitObserved(context.Background(), plan, tc.params, obs)
-							return rows, err
-						})
-					}
-					// hiactor through its actor pool.
-					check("hiactor", func(g grin.Graph, obs *obsv.QueryStats) ([]exec.Row, error) {
-						he := hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 2, BatchSize: bs})
-						defer he.Close()
-						rows, _, err := he.SubmitObserved(context.Background(), plan, tc.params, obs)
-						return rows, err
-					})
+// runObservedMatrix runs each case on every engine unobserved, observed over
+// the bare store and observed over a metered view of it.
+func runObservedMatrix(t *testing.T, st grin.Graph, schema *graph.Schema, cases []parityCase) {
+	const bs = 16
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var plan *ir.Plan
+			var err error
+			if tc.lang == "gremlin" {
+				plan, err = gremlin.Parse(tc.q, schema)
+			} else {
+				plan, err = cypher.Parse(tc.q, schema)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// check runs one engine unobserved, observed over the
+			// bare store, and observed over a metered view.
+			check := func(label string, run func(g grin.Graph, obs *obsv.QueryStats) ([]exec.Row, error)) {
+				t.Helper()
+				want, err := run(st, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bare, bst := newObserved(st, false)
+				if _, err := run(bst, bare); err != nil {
+					t.Fatal(err)
+				}
+				obs, mst := newObserved(st, true)
+				got, err := run(mst, obs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustExactEqual(t, label+" observed", renderRows(got), renderRows(want))
+				assertCollected(t, obs, len(got))
+				// A LIMIT short-circuit's rows-in depend on worker
+				// scheduling even at parallelism 1, metered or not.
+				if tc.name == "limit-short-circuit" {
+					return
+				}
+				if m, b := obs.Deterministic(), bare.Deterministic(); !reflect.DeepEqual(m, b) {
+					t.Errorf("%s: metering changed the run\nmetered: %+v\nbare:    %+v", label, m, b)
+				}
+			}
+
+			check("naive", func(g grin.Graph, obs *obsv.QueryStats) ([]exec.Row, error) {
+				rows, _, err := naive.RunWith(context.Background(), plan, g, tc.params, naive.Options{BatchSize: bs, Obs: obs})
+				return rows, err
+			})
+			// gaia at serial and full parallelism.
+			for _, par := range []int{1, runtime.NumCPU()} {
+				check(fmt.Sprintf("gaia par=%d", par), func(g grin.Graph, obs *obsv.QueryStats) ([]exec.Row, error) {
+					rows, _, err := gaia.NewEngine(g, gaia.Options{Parallelism: par, BatchSize: bs}).SubmitObserved(context.Background(), plan, tc.params, obs)
+					return rows, err
 				})
 			}
+			// hiactor through its actor pool.
+			check("hiactor", func(g grin.Graph, obs *obsv.QueryStats) ([]exec.Row, error) {
+				he := hiactor.NewEngine(func() grin.Graph { return g }, hiactor.Options{Shards: 2, BatchSize: bs})
+				defer he.Close()
+				rows, _, err := he.SubmitObserved(context.Background(), plan, tc.params, obs)
+				return rows, err
+			})
 		})
 	}
 }
@@ -247,3 +259,77 @@ const goldenExplain = `PROJECT [MAP width=1]
       SCAN(f) [SOURCE width=1]
         rows: in=0 out=120  batches=1
 `
+
+// TestIDFilterKernelCounters pins how the fused expansion reports a
+// pushed id() filter that runs before materialization: the id() step takes
+// the kernel on every backend (external IDs through the Index trait,
+// internal IDs without it), the property step takes it where the store has
+// the typed gather, a parameter of the wrong kind sends just its step to
+// the per-row path, and the stage's selectivity counts every expanded edge
+// as a candidate, the slots rejected before materialization included.
+func TestIDFilterKernelCounters(t *testing.T) {
+	const q = `MATCH (a:V)-[:E]->(m:V)-[:E]->(b:V)
+WHERE id(a) = 19 AND id(b) < $hi AND b.score > 3 RETURN id(m), id(b)`
+	plan, err := cypher.Parse(q, idSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The unfiltered paths are the m->b expansion's candidates.
+	paths, err := cypher.Parse(`MATCH (a:V)-[:E]->(m:V)-[:E]->(b:V) WHERE id(a) = 19 RETURN id(b)`, idSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range idBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			typedGather := grin.GatherVertexPropCol(st, []graph.VID{0}, "score", column.New(graph.KindInt))
+			all, _, err := naive.Run(context.Background(), paths, st, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, hi := range []graph.Value{graph.IntValue(30), graph.FloatValue(30)} {
+				params := map[string]graph.Value{"hi": hi}
+				want, _, err := naive.Run(context.Background(), plan, st, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				obs := obsv.NewQueryStats()
+				eng := gaia.NewEngine(st, gaia.Options{Parallelism: 1, BatchSize: 1024})
+				got, _, err := eng.SubmitObserved(context.Background(), plan, params, obs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mustEqual(t, "gaia vs naive", canonical(got, nil, st), canonical(want, nil, st))
+				stages := obs.Deterministic()
+				var expand *obsv.StageSnapshot
+				for i := range stages {
+					if stages[i].Name == "EXPAND_FUSED(m->b)" {
+						expand = &stages[i]
+					}
+				}
+				if expand == nil {
+					t.Fatalf("%v: plan has no EXPAND_FUSED(m->b) stage: %+v", hi, stages)
+				}
+				var kernel, boxed int64
+				if hi.K == graph.KindInt {
+					kernel++
+				} else {
+					boxed++
+				}
+				if typedGather {
+					kernel++
+				} else {
+					boxed++
+				}
+				if expand.KernelSteps != kernel || expand.BoxedSteps != boxed {
+					t.Errorf("hi=%v: kernel/boxed steps %d/%d, want %d/%d", hi, expand.KernelSteps, expand.BoxedSteps, kernel, boxed)
+				}
+				if expand.SelCandidates != int64(len(all)) {
+					t.Errorf("hi=%v: filter candidates %d, want every expanded edge (%d)", hi, expand.SelCandidates, len(all))
+				}
+				if got := expand.SelSurvivors; got != int64(len(want)) || got == 0 {
+					t.Errorf("hi=%v: filter survivors %d, want the %d result rows (non-zero)", hi, got, len(want))
+				}
+			}
+		})
+	}
+}

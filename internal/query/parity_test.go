@@ -21,6 +21,7 @@ import (
 	"repro/internal/storage/gart"
 	"repro/internal/storage/graphar"
 	"repro/internal/storage/livegraph"
+	"repro/internal/storage/meter"
 	"repro/internal/storage/vineyard"
 )
 
@@ -311,6 +312,95 @@ func TestEngineParityStructuralAllBackends(t *testing.T) {
 	for name, st := range stores {
 		t.Run(name, func(t *testing.T) {
 			runParityMatrix(t, st, schema, cases)
+		})
+	}
+}
+
+// idSchema is a one-label graph with an int vertex property, for the id()
+// kernel cases.
+func idSchema() *graph.Schema {
+	return graph.NewSchema(
+		[]graph.VertexLabel{{Name: "V", Props: []graph.PropDef{{Name: "score", Kind: graph.KindInt}}}},
+		[]graph.EdgeLabel{{Name: "E", Src: 0, Dst: 0}},
+	)
+}
+
+// noIndex masks the Index trait of a metered store (grin.TraitMasker), so
+// id() falls back to internal vertex IDs exactly as on an index-less
+// backend.
+type noIndex struct{ *meter.Graph }
+
+func (n noIndex) HasTrait(t grin.Trait) bool { return t != grin.TraitIndex && n.Graph.HasTrait(t) }
+
+// idBackends loads one seeded graph whose external vertex IDs are a
+// permutation of its internal IDs (so id() and the internal ID disagree)
+// into vineyard, GART and GraphAr, each also behind a wrapper that masks the
+// Index trait.
+func idBackends(t *testing.T) map[string]grin.Graph {
+	t.Helper()
+	const n = 60
+	simple := dataset.Datagen("ids", n, 4, 5)
+	b := graph.NewBatch(idSchema())
+	ext := func(v graph.VID) int64 { return int64(v) * 37 % n }
+	for v := graph.VID(0); v < n; v++ {
+		b.AddVertex(0, ext(v), graph.IntValue(int64(v)*13%10))
+	}
+	for i := range simple.Src {
+		b.AddEdge(0, ext(simple.Src[i]), ext(simple.Dst[i]))
+	}
+
+	vy, err := vineyard.Load(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs := gart.NewStore(idSchema(), 0)
+	if err := gs.LoadBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := graphar.Write(dir, b, graphar.Options{ChunkSize: 16}); err != nil {
+		t.Fatal(err)
+	}
+	ga, err := graphar.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ga.Close() })
+
+	stores := map[string]grin.Graph{"vineyard": vy, "gart": gs.Latest(), "graphar": ga}
+	all := map[string]grin.Graph{}
+	for name, st := range stores {
+		all[name] = st
+		all[name+"-noindex"] = noIndex{meter.Wrap(st, nil)}
+	}
+	return all
+}
+
+// idParityCases filter an expansion on id() of the new vertex and then on
+// one of its properties, in normal, mirrored and parameter form.
+var idParityCases = []parityCase{
+	{
+		name: "id-range-filter", lang: "cypher", crossEngine: true,
+		q: `MATCH (a:V)-[:E]->(b:V) WHERE id(b) < 7 AND b.score > 3 RETURN id(a), id(b)`,
+	},
+	{
+		name: "id-range-filter-mirrored", lang: "cypher", crossEngine: true,
+		q: `MATCH (a:V)-[:E]->(b:V) WHERE 7 > id(b) AND 3 < b.score RETURN id(a), id(b)`,
+	},
+	{
+		name: "id-range-filter-param", lang: "cypher", crossEngine: true,
+		q:      `MATCH (a:V)-[:E]->(b:V) WHERE id(b) < $hi AND b.score > $k RETURN id(a), id(b)`,
+		params: map[string]graph.Value{"hi": graph.IntValue(7), "k": graph.IntValue(3)},
+	},
+}
+
+// TestIDKernelParity runs the id() cases over the full engine × batch-size
+// × parallelism matrix on every property-bearing backend, with and without
+// the Index trait.
+func TestIDKernelParity(t *testing.T) {
+	for name, st := range idBackends(t) {
+		t.Run(name, func(t *testing.T) {
+			runParityMatrix(t, st, idSchema(), idParityCases)
 		})
 	}
 }

@@ -16,9 +16,9 @@ var (
 // arrays — no per-edge callback dispatch.
 func (sn *Snapshot) ExpandBatch(frontier []graph.VID, dir graph.Direction, out *grin.AdjBatch) {
 	out.Begin(len(frontier))
-	published := graph.VID(sn.s.vCount.Load())
+	view := sn.s.view.Load()
 	walk := func(adjs []*adjacency, v graph.VID) {
-		if v >= published {
+		if int(v) >= len(adjs) {
 			return
 		}
 		for seg := adjs[v].head.Load(); seg != nil; seg = seg.next.Load() {
@@ -35,26 +35,24 @@ func (sn *Snapshot) ExpandBatch(frontier []graph.VID, dir graph.Direction, out *
 	}
 	for _, v := range frontier {
 		if dir == graph.Both || dir == graph.Out {
-			walk(sn.s.outAdj, v)
+			walk(view.outAdj, v)
 		}
 		if dir == graph.Both || dir == graph.In {
-			walk(sn.s.inAdj, v)
+			walk(view.inAdj, v)
 		}
 		out.EndVertex()
 	}
 }
 
-// ScanBatch implements grin.BatchScan: one read lock covers the whole
-// buffer fill (the scalar scan path locks per vertex metadata access).
-// Visibility and label filtering match ScanVertices.
+// ScanBatch implements grin.BatchScan over the published vertex view, with
+// no lock. Visibility and label filtering match ScanVertices.
 func (sn *Snapshot) ScanBatch(label graph.LabelID, start graph.VID, buf []graph.VID) (int, graph.VID) {
-	sn.s.mu.RLock()
-	defer sn.s.mu.RUnlock()
-	end := graph.VID(len(sn.s.vertices))
+	vs := sn.s.view.Load().vertices
+	end := graph.VID(len(vs))
 	n := 0
 	v := start
 	for ; v < end && n < len(buf); v++ {
-		meta := &sn.s.vertices[v]
+		meta := &vs[v]
 		if meta.createVer > sn.ver {
 			continue
 		}
@@ -131,16 +129,16 @@ func (sn *Snapshot) GatherEdgeProp(es []graph.EID, prop string, out []graph.Valu
 	}
 }
 
-// GatherVertexLabels implements grin.BatchProps under a single read lock.
+// GatherVertexLabels implements grin.BatchProps over the published vertex
+// view, with no lock.
 func (sn *Snapshot) GatherVertexLabels(vs []graph.VID, out []graph.LabelID) {
-	sn.s.mu.RLock()
-	defer sn.s.mu.RUnlock()
+	metas := sn.s.view.Load().vertices
 	for i, v := range vs {
-		if int(v) >= len(sn.s.vertices) {
+		if int(v) >= len(metas) {
 			out[i] = graph.AnyLabel
 			continue
 		}
-		out[i] = sn.s.vertices[v].label
+		out[i] = metas[v].label
 	}
 }
 

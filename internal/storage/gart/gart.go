@@ -13,9 +13,17 @@
 //     writers publish an entry by atomically bumping the segment count after
 //     the entry is fully written, and new entries carry an uncommitted
 //     version that pinned snapshots skip.
-//   - Property reads and index lookups take a read lock (they touch growable
-//     arrays); topology scans — the throughput-critical path of Exp-1c — are
-//     lock-free.
+//   - Vertex metadata (label, external ID, create version) and the
+//     per-vertex adjacency heads are published as an immutable view through
+//     an atomic pointer: the single writer appends under the store lock and
+//     republishes a view covering the new entries, and entries below a
+//     view's length are never modified again. Vertex reads (ExternalID,
+//     VertexLabel, GatherVertexLabels, scans, NumVertices) and topology
+//     walks (Neighbors, ExpandBatch) — the throughput-critical paths of
+//     Exp-1c and the fraud check — index the view without locking.
+//   - Property columns, the MVCC cell maps, the external-ID lookup maps and
+//     the edge arrays still take the store's read lock (they are growable or
+//     updated in place).
 //   - Vertex property updates keep per-cell version chains so snapshots read
 //     the value as of their version.
 package gart
@@ -61,6 +69,17 @@ type vertexMeta struct {
 	row       uint32 // row in the label's property columns
 }
 
+// vertexView is the published prefix of the vertex arrays. The writer
+// appends to the store's backing arrays under mu and then publishes a new
+// view whose slices end at the new length; a reader holding an older view
+// never indexes past its length, and entries below it are never written
+// again, so views are safe to read without the lock.
+type vertexView struct {
+	vertices []vertexMeta
+	outAdj   []*adjacency
+	inAdj    []*adjacency
+}
+
 type propCell struct {
 	v graph.VID
 	p graph.PropID
@@ -76,10 +95,12 @@ type Store struct {
 	schema  *graph.Schema
 	segSize int
 
+	// view is the lock-free read side of vertices/outAdj/inAdj.
+	view atomic.Pointer[vertexView]
+
 	mu sync.RWMutex // guards all growable state below
 
 	vertices  []vertexMeta
-	vCount    atomic.Uint64 // published vertex count (monotone)
 	outAdj    []*adjacency
 	inAdj     []*adjacency
 	extLookup []map[int64]graph.VID
@@ -123,6 +144,7 @@ func NewStore(schema *graph.Schema, segSize int) *Store {
 	for l := range s.ecols {
 		s.ecols[l] = column.Set(schema.Edges[l].Props)
 	}
+	s.view.Store(&vertexView{})
 	return s
 }
 
@@ -144,11 +166,21 @@ func (s *Store) Commit() uint64 { return s.readVer.Add(1) }
 
 // AddVertex inserts a vertex, visible after the next Commit.
 func (s *Store) AddVertex(label graph.LabelID, extID int64, props ...graph.Value) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.addVertexLocked(label, extID, props); err != nil {
+		return err
+	}
+	s.publishLocked()
+	return nil
+}
+
+// addVertexLocked appends one vertex without publishing it to readers.
+// Called with mu held.
+func (s *Store) addVertexLocked(label graph.LabelID, extID int64, props []graph.Value) error {
 	if int(label) < 0 || int(label) >= s.schema.NumVertexLabels() {
 		return fmt.Errorf("gart: vertex label %d out of range", label)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, dup := s.extLookup[label][extID]; dup {
 		return fmt.Errorf("gart: duplicate vertex %s/%d", s.schema.VertexLabelName(label), extID)
 	}
@@ -166,8 +198,13 @@ func (s *Store) AddVertex(label graph.LabelID, extID int64, props ...graph.Value
 	s.outAdj = append(s.outAdj, &adjacency{})
 	s.inAdj = append(s.inAdj, &adjacency{})
 	s.extLookup[label][extID] = vid
-	s.vCount.Store(uint64(len(s.vertices)))
 	return nil
+}
+
+// publishLocked makes every appended vertex visible to lock-free readers.
+// Called with mu held (single writer).
+func (s *Store) publishLocked() {
+	s.view.Store(&vertexView{vertices: s.vertices, outAdj: s.outAdj, inAdj: s.inAdj})
 }
 
 // AddEdge inserts an edge between existing vertices, visible after Commit.
@@ -312,12 +349,11 @@ func (s *Store) lookupLocked(label graph.LabelID, ext int64) (graph.VID, bool) {
 	return graph.NilVID, false
 }
 
-// LoadBatch bulk-loads a batch and commits once.
+// LoadBatch bulk-loads a batch and commits once. The vertices are appended
+// under one lock hold and published to readers as one view.
 func (s *Store) LoadBatch(b *graph.Batch) error {
-	for _, v := range b.Vertices {
-		if err := s.AddVertex(v.Label, v.ExtID, v.Props...); err != nil {
-			return err
-		}
+	if err := s.loadVertices(b.Vertices); err != nil {
+		return err
 	}
 	for _, e := range b.Edges {
 		if err := s.AddEdge(e.Label, e.Src, e.Dst, e.Props...); err != nil {
@@ -325,6 +361,18 @@ func (s *Store) LoadBatch(b *graph.Batch) error {
 		}
 	}
 	s.Commit()
+	return nil
+}
+
+func (s *Store) loadVertices(vs []graph.VertexRecord) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	defer s.publishLocked()
+	for _, v := range vs {
+		if err := s.addVertexLocked(v.Label, v.ExtID, v.Props); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package gart
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -371,5 +372,120 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 
 	if d := degreeOf(s.Latest(), 0, hubExt, graph.Out); d != 50 {
 		t.Fatalf("final degree %d", d)
+	}
+}
+
+// growthRead is everything a reader observes through the vertex view and
+// the adjacency heads at one pinned snapshot.
+type growthRead struct {
+	adj    grin.AdjBatch
+	nbrs   []graph.VID
+	ext    []int64
+	scan   []graph.VID
+	labels []graph.LabelID
+}
+
+func readAll(sn *Snapshot, vs []graph.VID) growthRead {
+	var r growthRead
+	sn.ExpandBatch(vs, graph.Both, &r.adj)
+	for _, v := range vs {
+		sn.Neighbors(v, graph.Out, func(n graph.VID, _ graph.EID) bool {
+			r.nbrs = append(r.nbrs, n)
+			return true
+		})
+		r.ext = append(r.ext, sn.ExternalID(v))
+	}
+	buf := make([]graph.VID, 7)
+	for cur := graph.VID(0); cur != graph.NilVID; {
+		var n int
+		n, cur = sn.ScanBatch(0, cur, buf)
+		r.scan = append(r.scan, buf[:n]...)
+	}
+	r.labels = make([]graph.LabelID, len(vs))
+	sn.GatherVertexLabels(vs, r.labels)
+	return r
+}
+
+func sameRead(a, b growthRead) bool {
+	return fmt.Sprint(a.adj.Off, a.adj.Nbrs, a.adj.Edges, a.nbrs, a.ext, a.scan, a.labels) ==
+		fmt.Sprint(b.adj.Off, b.adj.Nbrs, b.adj.Edges, b.nbrs, b.ext, b.scan, b.labels)
+}
+
+// TestConcurrentGrowthReads runs one writer that keeps adding vertices and
+// edges while readers at pinned snapshots read vertex metadata and
+// adjacency: every read must equal the first read at the same version. Under
+// -race it also checks that growing the vertex arrays never races with
+// lock-free readers.
+func TestConcurrentGrowthReads(t *testing.T) {
+	s := NewStore(socialSchema(), 4)
+	for i := int64(0); i < 20; i++ {
+		if err := s.AddVertex(0, i, graph.StringValue("a"), graph.IntValue(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			if err := s.AddEdge(0, i-1, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.Commit()
+
+	const writes = 300
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(20); i < 20+writes; i++ {
+			if err := s.AddVertex(0, i, graph.StringValue("a"), graph.IntValue(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := s.AddEdge(0, i%20, i); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := s.AddEdge(0, i, (i*7)%i); err != nil {
+				t.Error(err)
+				return
+			}
+			s.Commit()
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				// Pin the newest committed version and read every vertex it
+				// sees (plus one past the end, which must read as absent)
+				// twice, with the writer still appending in between.
+				sn := s.Latest()
+				vs := make([]graph.VID, sn.NumVertices()+1)
+				for i := range vs {
+					vs[i] = graph.VID(i)
+				}
+				first := readAll(sn, vs)
+				if got := len(first.scan); got != len(vs)-1 {
+					t.Errorf("version %d: scan saw %d vertices, want %d", sn.Version(), got, len(vs)-1)
+					return
+				}
+				if again := readAll(sn, vs); !sameRead(first, again) {
+					t.Errorf("version %d: read changed under concurrent growth", sn.Version())
+					return
+				}
+			}
+		}()
+	}
+	<-done
+	wg.Wait()
+
+	if n := s.NumVertices(); n != 20+writes {
+		t.Fatalf("final vertex count %d, want %d", n, 20+writes)
 	}
 }

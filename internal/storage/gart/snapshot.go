@@ -6,8 +6,11 @@ import (
 )
 
 // Snapshot is a consistent read-only view of a Store at one committed
-// version. Topology methods are lock-free; property and index methods take
-// the store's read lock.
+// version. Vertex reads (NumVertices, VertexLabel, ExternalID,
+// GatherVertexLabels, ScanVertices, ScanBatch, LabelRange) and topology
+// walks (Neighbors, Degree, ExpandBatch) read the store's published vertex
+// view and take no lock. Property reads, LookupVertex and edge-label reads
+// take the store's read lock.
 type Snapshot struct {
 	s   *Store
 	ver uint64
@@ -33,15 +36,12 @@ func (sn *Snapshot) visible(create uint64, deleted uint64) bool {
 	return create <= sn.ver && sn.ver < deleted
 }
 
-// NumVertices implements grin.Graph. The published vertex count is monotone,
-// so it bounds the scan; per-vertex visibility is checked by createVer.
+// NumVertices implements grin.Graph. Vertex IDs are assigned in commit
+// order, so the visible vertices are a prefix of the published view.
 func (sn *Snapshot) NumVertices() int {
-	// vCount is published without the lock; vertices created after this
-	// snapshot's version are filtered by visibility checks at access time.
-	n := int(sn.s.vCount.Load())
-	sn.s.mu.RLock()
-	defer sn.s.mu.RUnlock()
-	for n > 0 && sn.s.vertices[n-1].createVer > sn.ver {
+	vs := sn.s.view.Load().vertices
+	n := len(vs)
+	for n > 0 && vs[n-1].createVer > sn.ver {
 		n--
 	}
 	return n
@@ -66,23 +66,24 @@ func (sn *Snapshot) Degree(v graph.VID, dir graph.Direction) int {
 
 // Neighbors implements grin.Graph with a lock-free segment-chain walk.
 func (sn *Snapshot) Neighbors(v graph.VID, dir graph.Direction, yield func(graph.VID, graph.EID) bool) {
+	view := sn.s.view.Load()
 	if dir == graph.Both {
-		if !sn.iterate(sn.s.outAdj, v, yield) {
+		if !sn.iterate(view.outAdj, v, yield) {
 			return
 		}
-		sn.iterate(sn.s.inAdj, v, yield)
+		sn.iterate(view.inAdj, v, yield)
 		return
 	}
-	adjs := sn.s.outAdj
+	adjs := view.outAdj
 	if dir == graph.In {
-		adjs = sn.s.inAdj
+		adjs = view.inAdj
 	}
 	sn.iterate(adjs, v, yield)
 }
 
 // iterate walks the chain; returns false if the yield stopped early.
 func (sn *Snapshot) iterate(adjs []*adjacency, v graph.VID, yield func(graph.VID, graph.EID) bool) bool {
-	if int(v) >= int(sn.s.vCount.Load()) {
+	if int(v) >= len(adjs) {
 		return true
 	}
 	a := adjs[v]
@@ -106,12 +107,11 @@ func (sn *Snapshot) Schema() *graph.Schema { return sn.s.schema }
 
 // VertexLabel implements grin.PropertyReader.
 func (sn *Snapshot) VertexLabel(v graph.VID) graph.LabelID {
-	sn.s.mu.RLock()
-	defer sn.s.mu.RUnlock()
-	if int(v) >= len(sn.s.vertices) {
+	vs := sn.s.view.Load().vertices
+	if int(v) >= len(vs) {
 		return graph.AnyLabel
 	}
-	return sn.s.vertices[v].label
+	return vs[v].label
 }
 
 // VertexProp implements grin.PropertyReader with MVCC cell resolution.
@@ -206,12 +206,11 @@ func (sn *Snapshot) LookupVertex(label graph.LabelID, ext int64) (graph.VID, boo
 
 // ExternalID implements grin.Index.
 func (sn *Snapshot) ExternalID(v graph.VID) int64 {
-	sn.s.mu.RLock()
-	defer sn.s.mu.RUnlock()
-	if int(v) >= len(sn.s.vertices) {
+	vs := sn.s.view.Load().vertices
+	if int(v) >= len(vs) {
 		return -1
 	}
-	return sn.s.vertices[v].extID
+	return vs[v].extID
 }
 
 // LabelRange implements grin.Index. GART assigns IDs in arrival order, so
@@ -225,10 +224,7 @@ func (sn *Snapshot) LabelRange(label graph.LabelID) (graph.VID, graph.VID, bool)
 
 // ScanVertices implements grin.PredicatePush with per-vertex label checks.
 func (sn *Snapshot) ScanVertices(label graph.LabelID, pred func(graph.VID) bool, yield func(graph.VID) bool) {
-	n := sn.NumVertices()
-	sn.s.mu.RLock()
-	metas := sn.s.vertices[:n]
-	sn.s.mu.RUnlock()
+	metas := sn.s.view.Load().vertices
 	for i := range metas {
 		if metas[i].createVer > sn.ver {
 			continue
