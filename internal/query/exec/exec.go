@@ -725,7 +725,7 @@ func (c *Compiled) compileExpandFused(op *ir.Op) error {
 			if len(s.ts) == 0 {
 				return nil
 			}
-			pass, err := fp.runPre(env, out, vIdx, s, sid)
+			pass, err := fp.runPre(env, vIdx, s, sid)
 			if err != nil || len(s.ts) == 0 {
 				return err
 			}

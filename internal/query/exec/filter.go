@@ -399,16 +399,15 @@ func (st *filterStep) elemKernel(env *Env, ss *filterScratch, arg graph.Value, m
 			return false
 		}
 		ss.col.Reset(graph.KindInt)
-		switch idx, hasIdx := grin.AsIndex(env.Graph); {
-		case st.elemKind == graph.KindEdge:
+		if st.elemKind == graph.KindEdge {
 			for _, e := range ss.eids[:m] {
 				ss.col.AppendInt(int64(e))
 			}
-		case hasIdx:
+		} else if idx, ok := grin.AsIndex(env.Graph); ok {
 			for _, v := range ss.vids[:m] {
 				ss.col.AppendInt(idx.ExternalID(v))
 			}
-		default:
+		} else {
 			for _, v := range ss.vids[:m] {
 				ss.col.AppendInt(int64(v))
 			}
@@ -442,9 +441,9 @@ func (st *filterStep) elemKernel(env *Env, ss *filterScratch, arg graph.Value, m
 // filter counters are unchanged. It stops at the first step that cannot
 // take the kernel at run time; run finishes that step per row on the
 // emitted rows. When no slot survives the whole pass is recorded here and
-// the caller emits nothing. out is the expansion's output batch: its column
-// layout tells whether run would see a typed, null-free element column.
-func (fp *filterProgram) runPre(env *Env, out *Batch, vIdx int, x *expandScratch, sid int) (prePass, error) {
+// the caller emits nothing. The expansion emits its new vertex and edge into
+// typed columns without NULLs, the layout run's element steps require.
+func (fp *filterProgram) runPre(env *Env, vIdx int, x *expandScratch, sid int) (prePass, error) {
 	var pass prePass
 	if fp == nil || fp.pre == 0 {
 		return pass, nil
@@ -459,24 +458,18 @@ func (fp *filterProgram) runPre(env *Env, out *Batch, vIdx int, x *expandScratch
 		if err != nil {
 			return pass, err
 		}
-		m := len(x.ts)
-		t := out.cols[st.leaf.Col].Typed()
-		ok := t != nil && t.Kind() == st.elemKind && !t.HasNulls()
-		if ok {
-			if st.leaf.Col == vIdx {
-				ss.vids = ss.vids[:0]
-				for _, s := range x.ts {
-					ss.vids = append(ss.vids, x.adj.Nbrs[s])
-				}
-			} else {
-				ss.eids = ss.eids[:0]
-				for _, s := range x.ts {
-					ss.eids = append(ss.eids, x.adj.Edges[s])
-				}
+		if st.leaf.Col == vIdx {
+			ss.vids = ss.vids[:0]
+			for _, s := range x.ts {
+				ss.vids = append(ss.vids, x.adj.Nbrs[s])
 			}
-			ok = st.elemKernel(env, ss, arg, m)
+		} else {
+			ss.eids = ss.eids[:0]
+			for _, s := range x.ts {
+				ss.eids = append(ss.eids, x.adj.Edges[s])
+			}
 		}
-		if !ok {
+		if !st.elemKernel(env, ss, arg, len(x.ts)) {
 			pass.fellBack = true
 			break
 		}

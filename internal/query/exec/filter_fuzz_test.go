@@ -188,11 +188,11 @@ func FuzzIDSelKernel(f *testing.F) {
 		if nullRows || fp == nil {
 			return
 		}
-		fp.markPre(0, -1)
+		vIdx, eIdx := 0, -1
 		if edges {
-			fp.pre = 0
-			fp.markPre(-1, 0)
+			vIdx, eIdx = -1, 0
 		}
+		fp.markPre(vIdx, eIdx)
 		x := &expandScratch{}
 		for i, v := range vals {
 			x.adj.Nbrs = append(x.adj.Nbrs, v.Vertex())
@@ -201,11 +201,7 @@ func FuzzIDSelKernel(f *testing.F) {
 			x.srcRows = append(x.srcRows, int32(i))
 		}
 		out := NewBatchKinds([]graph.Kind{kind}, 0)
-		vIdx := 0
-		if edges {
-			vIdx = -1
-		}
-		pass, err := fp.runPre(env, out, vIdx, x, 0)
+		pass, err := fp.runPre(env, vIdx, x, 0)
 		if err == nil && len(x.ts) > 0 {
 			for _, ts := range x.ts {
 				if edges {

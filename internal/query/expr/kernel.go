@@ -99,9 +99,8 @@ func constArg(p *Bound) bool {
 
 // SelLeaf reports whether the conjunct has the kernelizable
 // column-vs-constant shape (the column possibly under id()), returning it in
-// normal form. IN-lists qualify
-// only with a constant list argument (all-literal lists fold to one literal
-// at bind time).
+// normal form. IN-lists qualify only with a constant list argument
+// (all-literal lists fold to one literal at bind time).
 func (p *Bound) SelLeaf() (SelLeaf, bool) {
 	if p == nil || p.kind != KindBinary {
 		return SelLeaf{}, false

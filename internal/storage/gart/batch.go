@@ -134,7 +134,7 @@ func (sn *Snapshot) GatherEdgeProp(es []graph.EID, prop string, out []graph.Valu
 func (sn *Snapshot) GatherVertexLabels(vs []graph.VID, out []graph.LabelID) {
 	metas := sn.s.view.Load().vertices
 	for i, v := range vs {
-		if int(v) >= len(metas) {
+		if !sn.visibleVertex(metas, v) {
 			out[i] = graph.AnyLabel
 			continue
 		}

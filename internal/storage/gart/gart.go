@@ -20,7 +20,8 @@
 //     view's length are never modified again. Vertex reads (ExternalID,
 //     VertexLabel, GatherVertexLabels, scans, NumVertices) and topology
 //     walks (Neighbors, ExpandBatch) — the throughput-critical paths of
-//     Exp-1c and the fraud check — index the view without locking.
+//     Exp-1c and the fraud check — index the view without locking, and
+//     check each vertex's create version like every other snapshot read.
 //   - Property columns, the MVCC cell maps, the external-ID lookup maps and
 //     the edge arrays still take the store's read lock (they are growable or
 //     updated in place).

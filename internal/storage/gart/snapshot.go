@@ -108,10 +108,18 @@ func (sn *Snapshot) Schema() *graph.Schema { return sn.s.schema }
 // VertexLabel implements grin.PropertyReader.
 func (sn *Snapshot) VertexLabel(v graph.VID) graph.LabelID {
 	vs := sn.s.view.Load().vertices
-	if int(v) >= len(vs) {
+	if !sn.visibleVertex(vs, v) {
 		return graph.AnyLabel
 	}
 	return vs[v].label
+}
+
+// visibleVertex reports whether v exists at this snapshot's version: it is
+// in the published view and was created at or before the version. Vertex
+// metadata reads answer as for an absent vertex otherwise, so a pinned
+// snapshot never sees a vertex appended after it.
+func (sn *Snapshot) visibleVertex(vs []vertexMeta, v graph.VID) bool {
+	return int(v) < len(vs) && vs[v].createVer <= sn.ver
 }
 
 // VertexProp implements grin.PropertyReader with MVCC cell resolution.
@@ -207,7 +215,7 @@ func (sn *Snapshot) LookupVertex(label graph.LabelID, ext int64) (graph.VID, boo
 // ExternalID implements grin.Index.
 func (sn *Snapshot) ExternalID(v graph.VID) int64 {
 	vs := sn.s.view.Load().vertices
-	if int(v) >= len(vs) {
+	if !sn.visibleVertex(vs, v) {
 		return -1
 	}
 	return vs[v].extID

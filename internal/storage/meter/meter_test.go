@@ -2,6 +2,7 @@ package meter
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -278,5 +279,30 @@ func TestSnapshotSharesSink(t *testing.T) {
 	msnap.Degree(0, graph.Out)
 	if mg.Stats().Calls(obsv.StoreDegree) != before+1 {
 		t.Fatal("snapshot call did not land in the shared sink")
+	}
+}
+
+// TestConcurrentWrapSharedSink wraps one store from several goroutines into
+// one shared sink, as a per-call snapshot provider does: under -race the
+// wrap-time writes of the backend name and native flags must not race, and
+// the sink must still report the inner backend and its regime.
+func TestConcurrentWrapSharedSink(t *testing.T) {
+	inner := loadStores(t)["vineyard"]
+	stats := &obsv.StoreStats{}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			Wrap(inner, stats).ExpandBatch([]graph.VID{0}, graph.Out, &grin.AdjBatch{})
+		}()
+	}
+	wg.Wait()
+	snap := stats.Snapshot()
+	if snap.Backend != "vineyard" {
+		t.Errorf("backend %q, want vineyard", snap.Backend)
+	}
+	if site := snap.Sites[obsv.StoreExpandBatch]; site.Calls != 4 || !site.Native {
+		t.Errorf("ExpandBatch site %+v, want 4 native calls", site)
 	}
 }
