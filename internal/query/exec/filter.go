@@ -281,6 +281,7 @@ func (fp *filterProgram) run(env *Env, b *Batch, base int, sid int, pre prePass)
 			break
 		}
 		handled := false
+		// The step runPre stopped at already made its kernel attempt.
 		if !pre.fellBack || i != pre.done {
 			arg, err := st.leaf.ResolveArg(&benv)
 			if err != nil {

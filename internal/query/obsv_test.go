@@ -42,8 +42,8 @@ func newObserved(st grin.Graph, metered bool) (*obsv.QueryStats, grin.Graph) {
 	return obs, mg
 }
 
-// TestObservedParityMatrix reruns the SNB parity mix with full observability
-// attached — stats, tracing, and a metering store wrapper — and asserts every
+// TestObservedParityMatrix reruns the SNB and id() parity mixes with full
+// observability attached — stats, tracing, and a metering store wrapper — and asserts every
 // engine returns rows identical to its unobserved run. Collection must be
 // purely passive, and metering must not change how the query runs: the
 // per-stage deterministic counters (rows, batches, kernel-vs-boxed filter
