@@ -1,7 +1,9 @@
 package algorithms
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -270,16 +272,144 @@ func TestCDLPTwoCliques(t *testing.T) {
 	}
 }
 
+// refCDLP is synchronous label propagation, serially: for each round every
+// vertex with at least one neighbor (Out then In, counted once per edge)
+// adopts the most frequent neighbor label, ties toward the smallest.
+func refCDLP(g grin.Graph, rounds int) []float64 {
+	n := g.NumVertices()
+	label := make([]float64, n)
+	for v := range label {
+		label[v] = float64(v)
+	}
+	next := make([]float64, n)
+	var buf []float64
+	for r := 0; r < rounds; r++ {
+		for v := 0; v < n; v++ {
+			buf = buf[:0]
+			for _, dir := range []graph.Direction{graph.Out, graph.In} {
+				grin.ForEachNeighbor(g, graph.VID(v), dir, func(u graph.VID, _ graph.EID) bool {
+					buf = append(buf, label[u])
+					return true
+				})
+			}
+			if len(buf) == 0 {
+				next[v] = label[v]
+				continue
+			}
+			sort.Float64s(buf)
+			best, bestCnt, cnt := buf[0], 0, 0
+			for i, l := range buf {
+				if i > 0 && l == buf[i-1] {
+					cnt++
+				} else {
+					cnt = 1
+				}
+				if cnt > bestCnt {
+					best, bestCnt = l, cnt
+				}
+			}
+			next[v] = best
+		}
+		label, next = next, label
+	}
+	return label
+}
+
+// checkCDLP requires CDLP to equal refCDLP exactly.
+func checkCDLP(t *testing.T, g grin.Graph, rounds, frags int) {
+	t.Helper()
+	got, err := CDLP(g, rounds, frags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refCDLP(g, rounds)
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("rounds=%d fragments=%d: vertex %d label %v, want %v", rounds, frags, v, got[v], want[v])
+		}
+	}
+}
+
+// TestCDLPMatchesReference compares CDLP with the serial reference on RMAT
+// graphs and on a hand-built graph with a self-loop, a duplicate edge and an
+// isolated vertex, each with and without CSC (without it In is empty).
+func TestCDLPMatchesReference(t *testing.T) {
+	hand := []csr.Edge{
+		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0},
+		{Src: 3, Dst: 3}, {Src: 3, Dst: 2}, // self-loop
+		{Src: 4, Dst: 5}, {Src: 4, Dst: 5}, {Src: 5, Dst: 6}, {Src: 6, Dst: 4}, // duplicate
+		// vertex 7 is isolated
+	}
+	for _, csc := range []bool{true, false} {
+		g, err := csr.Build(8, hand, csr.Options{BuildCSC: csc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs, names := []grin.Graph{g}, []string{"hand"}
+		for _, seed := range []int64{1, 2, 3} {
+			g, err := dataset.RMAT("rmat", 9, 8, seed).ToCSR(csc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs, names = append(graphs, g), append(names, fmt.Sprintf("rmat-%d", seed))
+		}
+		for i, g := range graphs {
+			t.Run(fmt.Sprintf("%s/csc=%v", names[i], csc), func(t *testing.T) {
+				for _, rounds := range []int{1, 2, 5, 10} {
+					for _, frags := range []int{1, 2, 3, 7} {
+						checkCDLP(t, g, rounds, frags)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestModeLabel checks the mode function's tie-break on stars whose leaves
+// carry the given labels. One mode function serves every case, so a count
+// left over from an earlier case would show.
 func TestModeLabel(t *testing.T) {
-	if m := modeLabel([]float64{3, 1, 3, 2, 1}); m != 1 {
-		// 1 and 3 both appear twice; tie goes to the smaller.
-		t.Fatalf("mode = %v", m)
+	const n = 8
+	mode := newModeFunc(n)
+	for _, tc := range []struct {
+		labels []float64
+		want   float64
+	}{
+		{[]float64{3, 1, 3, 2, 1}, 1}, // 1 and 3 both appear twice; tie goes to the smaller
+		{[]float64{5, 5, 2}, 5},
+		{[]float64{7}, 7},
+		{[]float64{2, 4, 4, 2, 1, 4}, 4},
+		{nil, 6}, // no neighbors: the center keeps its own label
+	} {
+		label := make([]float64, n)
+		label[0] = 6
+		var edges []csr.Edge
+		for i, l := range tc.labels {
+			edges = append(edges, csr.Edge{Src: 0, Dst: graph.VID(i + 1)})
+			label[i+1] = l
+		}
+		g, err := csr.Build(n, edges, csr.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := mode(g, label, 0); m != tc.want {
+			t.Fatalf("labels %v: mode = %v want %v", tc.labels, m, tc.want)
+		}
 	}
-	if m := modeLabel([]float64{5, 5, 2}); m != 5 {
-		t.Fatalf("mode = %v", m)
-	}
-	if m := modeLabel([]float64{7}); m != 7 {
-		t.Fatalf("mode = %v", m)
+	// A self-loop counts once per direction: with CSC, vertex 3's labels
+	// are {3, 1, 3} (mode 3); without CSC only Out is seen, {3, 1} (tie, 1).
+	label := []float64{0, 1, 2, 3}
+	for _, tc := range []struct {
+		csc  bool
+		want float64
+	}{{true, 3}, {false, 1}} {
+		g, err := csr.Build(4, []csr.Edge{{Src: 3, Dst: 3}, {Src: 3, Dst: 1}}, csr.Options{BuildCSC: tc.csc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := mode(g, label, 3); m != tc.want {
+			t.Fatalf("self-loop csc=%v: mode = %v want %v", tc.csc, m, tc.want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/analytics/grape"
 	"repro/internal/graph"
@@ -11,13 +12,15 @@ import (
 
 // CDLP runs community detection by synchronous label propagation (the
 // Graphalytics CDLP definition): for a fixed number of rounds, every vertex
-// adopts the most frequent label among its neighbors (both directions),
-// breaking ties toward the smaller label.
+// adopts the most frequent label among its neighbors (both directions, one
+// count per edge), ties toward the smaller label.
 func CDLP(g grin.Graph, rounds, fragments int) ([]float64, error) {
 	if rounds <= 0 {
 		rounds = 10
 	}
-	prog := &cdlpPIE{g: g, label: make([]float64, g.NumVertices()), rounds: rounds}
+	n := g.NumVertices()
+	prog := &cdlpPIE{g: g, label: [2][]float64{make([]float64, n), make([]float64, n)}, rounds: rounds}
+	prog.modes.New = func() any { return newModeFunc(n) }
 	eng, err := grape.NewEngine(g, grape.Options{Fragments: fragments})
 	if err != nil {
 		return nil, err
@@ -25,73 +28,73 @@ func CDLP(g grin.Graph, rounds, fragments int) ([]float64, error) {
 	if _, err := eng.Run(prog); err != nil {
 		return nil, err
 	}
-	return prog.label, nil
+	return prog.label[rounds%2], nil
 }
 
+// cdlpPIE pulls instead of sending messages: superstep s reads the parity
+// buffer label[(s-1)%2] and writes label[s%2] for inner vertices. Unlike the
+// remote-state peeking traversal.go forbids, reading a remote label is
+// race-free: nothing writes that array during the round, and Engine.Run's
+// barrier publishes its last writes (libgrape-lite's outer-vertex sync).
 type cdlpPIE struct {
 	g      grin.Graph
-	label  []float64
+	label  [2][]float64
 	rounds int
+	modes  sync.Pool // of newModeFunc results, taken once per worker chunk
 }
 
-// PEval self-labels and broadcasts round 0.
+// PEval self-labels and asks for the first round.
 func (p *cdlpPIE) PEval(f *grape.Fragment, ctx *grape.Context) {
 	lo, hi := f.Bounds()
-	ctx.ParallelFor(lo, hi, func(_ *grape.Sender, v graph.VID) {
-		p.label[v] = float64(v)
-	})
-	ctx.ParallelFor(lo, hi, func(s *grape.Sender, v graph.VID) {
-		p.sendLabel(s, v)
-	})
+	ctx.ParallelFor(lo, hi, func(_ *grape.Sender, v graph.VID) { p.label[0][v] = float64(v) })
+	ctx.Rerun()
 }
 
-// IncEval adopts the mode label among received messages per target.
-func (p *cdlpPIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.Message) {
-	// Group per target: messages carry raw neighbor labels (no combiner), so
-	// targets repeat and the grouping stays sequential.
-	byTarget := make(map[graph.VID][]float64)
-	for _, m := range msgs {
-		byTarget[m.Target] = append(byTarget[m.Target], m.Value)
-	}
-	for v, labels := range byTarget {
-		p.label[v] = modeLabel(labels)
-	}
-	if ctx.Superstep() < p.rounds {
-		lo, hi := f.Bounds()
-		ctx.ParallelFor(lo, hi, func(s *grape.Sender, v graph.VID) {
-			p.sendLabel(s, v)
-		})
-	}
-}
-
-func (p *cdlpPIE) sendLabel(sink grape.Sink, v graph.VID) {
-	l := p.label[v]
-	grin.ForEachNeighbor(p.g, v, graph.Out, func(n graph.VID, _ graph.EID) bool {
-		sink.Send(n, l)
-		return true
-	})
-	grin.ForEachNeighbor(p.g, v, graph.In, func(n graph.VID, _ graph.EID) bool {
-		sink.Send(n, l)
-		return true
-	})
-}
-
-// modeLabel returns the most frequent label, ties toward the smallest.
-func modeLabel(labels []float64) float64 {
-	sort.Float64s(labels)
-	best, bestCnt := labels[0], 0
-	cur, cnt := labels[0], 0
-	for _, l := range labels {
-		if l == cur {
-			cnt++
-		} else {
-			cur, cnt = l, 1
+// IncEval runs round s: every inner vertex adopts its neighbors' mode label.
+func (p *cdlpPIE) IncEval(f *grape.Fragment, ctx *grape.Context, _ []grape.Message) {
+	s := ctx.Superstep()
+	cur, next := p.label[(s-1)%2], p.label[s%2]
+	lo, hi := f.Bounds()
+	ctx.ParallelRange(lo, hi, func(_ *grape.Sender, clo, chi graph.VID) {
+		mode := p.modes.Get().(func(grin.Graph, []float64, graph.VID) float64)
+		for v := clo; v < chi; v++ {
+			next[v] = mode(p.g, cur, v)
 		}
-		if cnt > bestCnt {
-			best, bestCnt = cur, cnt
-		}
+		//lint:allow parallelsafety the pool lives for one CDLP call; a parked mode pins only that call's label arrays
+		p.modes.Put(mode)
+	})
+	if s < p.rounds {
+		ctx.Rerun()
 	}
-	return best
+}
+
+// newModeFunc returns a function giving the most frequent label among v's
+// neighbors (Out then In, so a self-loop counts twice), ties toward the
+// smaller label, or v's own label when it has none. Labels are VIDs, so it
+// counts in a private dense array, resetting only the entries it touched.
+func newModeFunc(n int) func(g grin.Graph, label []float64, v graph.VID) float64 {
+	cnt, touched := make([]uint32, n), []uint32(nil)
+	var label []float64
+	count := func(u graph.VID, _ graph.EID) bool { // bound once: no per-vertex closure
+		i := uint32(label[u])
+		if cnt[i]++; cnt[i] == 1 {
+			touched = append(touched, i)
+		}
+		return true
+	}
+	return func(g grin.Graph, lab []float64, v graph.VID) float64 {
+		label = lab
+		grin.ForEachNeighbor(g, v, graph.Both, count)
+		best, bestCnt := label[v], uint32(0)
+		for _, i := range touched {
+			if k := cnt[i]; k > bestCnt || (k == bestCnt && float64(i) < best) {
+				best, bestCnt = float64(i), k
+			}
+			cnt[i] = 0
+		}
+		touched = touched[:0]
+		return best
+	}
 }
 
 // KCore returns whether each vertex belongs to the k-core of the undirected
@@ -153,11 +156,7 @@ func (p *kcorePIE) IncEval(f *grape.Fragment, ctx *grape.Context, msgs []grape.M
 
 func (p *kcorePIE) peel(sink grape.Sink, v graph.VID) {
 	p.removed[v] = true
-	grin.ForEachNeighbor(p.g, v, graph.Out, func(n graph.VID, _ graph.EID) bool {
-		sink.Send(n, 1)
-		return true
-	})
-	grin.ForEachNeighbor(p.g, v, graph.In, func(n graph.VID, _ graph.EID) bool {
+	grin.ForEachNeighbor(p.g, v, graph.Both, func(n graph.VID, _ graph.EID) bool {
 		sink.Send(n, 1)
 		return true
 	})

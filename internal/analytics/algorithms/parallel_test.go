@@ -54,6 +54,12 @@ func TestAlgorithmsMatchReferenceWithIntraParallelism(t *testing.T) {
 			t.Fatalf("WCC intra-parallel differs by %v", d)
 		}
 
+		// Fragments=2 runs CDLP's ParallelRange over 4 chunks per fragment.
+		for _, rounds := range []int{1, 10} {
+			checkCDLP(t, g, rounds, 2)
+			checkCDLP(t, wg, rounds, 2)
+		}
+
 		kc, err := KCore(g, 4, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -146,6 +152,24 @@ func BenchmarkPageRankFragments(b *testing.B) {
 		b.Run(fmt.Sprintf("fragments=%d", frags), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := PageRank(g, PageRankOptions{Iterations: 5, Fragments: frags}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCDLP measures the pull CDLP across fragment counts on the
+// BenchmarkPageRankFragments graph.
+func BenchmarkCDLP(b *testing.B) {
+	g, err := dataset.Datagen("bench", 20_000, 12, 6).ToCSR(true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, frags := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("fragments=%d", frags), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := CDLP(g, 10, frags); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -340,7 +340,7 @@ func (c *Context) mergeSenders(ss []*Sender) {
 	}
 }
 
-// parallelRun is the shared scaffolding of ParallelFor/ParallelForMessages:
+// parallelRun is the shared scaffolding of ParallelRange/ParallelForMessages:
 // run on one direct sender inline, or fan out over the intra-fragment
 // workers' senders and merge them back in worker order.
 func (c *Context) parallelRun(n int, run func(s *Sender, lo, hi int)) {
@@ -366,10 +366,21 @@ func (c *Context) parallelRun(n int, run func(s *Sender, lo, hi int)) {
 // when ParallelFor returns. body may freely write per-vertex state indexed by
 // its own v, and must not touch other vertices' state.
 func (c *Context) ParallelFor(lo, hi graph.VID, body func(s *Sender, v graph.VID)) {
-	c.parallelRun(int(hi)-int(lo), func(s *Sender, clo, chi int) {
-		for v := lo + graph.VID(clo); v < lo+graph.VID(chi); v++ {
+	c.ParallelRange(lo, hi, func(s *Sender, clo, chi graph.VID) {
+		for v := clo; v < chi; v++ {
 			body(s, v)
 		}
+	})
+}
+
+// ParallelRange is ParallelFor at chunk granularity: body runs once per
+// worker chunk [clo, chi) of [lo, hi), so a program can take per-worker
+// scratch (a counter, a buffer) once per chunk instead of once per vertex.
+// The chunks are contiguous, disjoint and cover [lo, hi); the Sender and
+// state rules of ParallelFor apply unchanged.
+func (c *Context) ParallelRange(lo, hi graph.VID, body func(s *Sender, clo, chi graph.VID)) {
+	c.parallelRun(int(hi)-int(lo), func(s *Sender, clo, chi int) {
+		body(s, lo+graph.VID(clo), lo+graph.VID(chi))
 	})
 }
 
@@ -607,28 +618,6 @@ func (e *Engine) exchangePerMessage(ctxs []*Context, inboxes [][]Message) bool {
 		}
 	}
 	return any
-}
-
-// combine merges messages directed at the same target with the combiner; a
-// nil combiner keeps all messages (grouped order unspecified).
-func combine(in []Message, comb func(a, b float64) float64) []Message {
-	if comb == nil {
-		return in
-	}
-	// Dense combining via map: fragments are small; target locality is high.
-	acc := make(map[graph.VID]float64, len(in))
-	for _, m := range in {
-		if old, ok := acc[m.Target]; ok {
-			acc[m.Target] = comb(old, m.Value)
-		} else {
-			acc[m.Target] = m.Value
-		}
-	}
-	out := in[:0]
-	for t, v := range acc {
-		out = append(out, Message{Target: t, Value: v})
-	}
-	return out
 }
 
 // encodeMessages packs messages into a compact buffer: uvarint delta-encoded

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -36,22 +35,19 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCombine drives the dense scratch the exchange combines through: one
+// message per target, in first-seen order, across repeated epochs.
 func TestCombine(t *testing.T) {
+	sc := newDenseScratch(1, 16)
 	in := []Message{{Target: 1, Value: 2}, {Target: 2, Value: 5}, {Target: 1, Value: 3}}
-	out := combine(in, func(a, b float64) float64 { return a + b })
-	sort.Slice(out, func(i, j int) bool { return out[i].Target < out[j].Target })
-	if len(out) != 2 || out[0].Value != 5 || out[1].Value != 5 {
-		t.Fatalf("combine got %v", out)
+	out := sc.combine(in, func(a, b float64) float64 { return a + b }, nil)
+	if want := []Message{{Target: 1, Value: 5}, {Target: 2, Value: 5}}; !reflect.DeepEqual(out, want) {
+		t.Fatalf("sum combine got %v want %v", out, want)
 	}
-	// Nil combiner keeps everything.
-	out = combine(in, nil)
-	if len(out) != 3 {
-		t.Fatal("nil combiner dropped messages")
-	}
-	// Min combiner.
-	out = combine([]Message{{Target: 9, Value: 4}, {Target: 9, Value: 1}}, math.Min)
-	if len(out) != 1 || out[0].Value != 1 {
-		t.Fatalf("min combine got %v", out)
+	// A second epoch on the same scratch must not see the first's sums.
+	out = sc.combine([]Message{{Target: 9, Value: 4}, {Target: 9, Value: 1}, {Target: 1, Value: 7}}, math.Min, nil)
+	if want := []Message{{Target: 9, Value: 1}, {Target: 1, Value: 7}}; !reflect.DeepEqual(out, want) {
+		t.Fatalf("min combine got %v want %v", out, want)
 	}
 }
 
